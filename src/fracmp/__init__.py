@@ -22,6 +22,7 @@ from .kernel import (
     apply_flap,
     assemble_kernel,
     norm_W,
+    phi_p,
     quadratic_form_matrix,
     seminorm_p,
 )
@@ -40,7 +41,6 @@ from .model import (
     make_potential,
     make_problem,
     min_sf,
-    phi_p,
     primitive_envelope,
     residual_norm,
     validate_AR,

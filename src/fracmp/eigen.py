@@ -21,8 +21,8 @@ from scipy.linalg import cho_factor, cho_solve
 from ._descent import bb_alpha
 from .errors import PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, apply_flap, quadratic_form_matrix, seminorm_p
-from .model import Potential, phi_p
+from .kernel import Kernel, apply_flap, phi_p, quadratic_form_matrix, seminorm_p
+from .model import Potential
 
 log = logging.getLogger(__name__)
 

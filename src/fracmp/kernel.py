@@ -70,11 +70,15 @@ def assemble_kernel(grid: Grid, s: float, p: float) -> Kernel:
     return Kernel(s=s, p=p, sp=sp, n=grid.n, cell_weight=h, W=W, tail=tail)
 
 
-def _phi_p_array(d: np.ndarray, p: float) -> np.ndarray:
-    """Odd power map |d|^(p-1) sign(d), elementwise; safe at d = 0 (p > 1)."""
-    if p == 2.0:
-        return d
-    return np.sign(d) * np.abs(d) ** (p - 1.0)
+def phi_p(s, p: float):
+    """The odd power map |s|^(p-2) s, written as sign(s)|s|^(p-1) (p > 1).
+
+    Elementwise on arrays, float for a scalar; at p = 2 the map is the
+    identity and its argument comes back as is.
+    """
+    d = np.asarray(s, dtype=float)
+    out = d if p == 2.0 else np.sign(d) * np.abs(d) ** (p - 1.0)
+    return float(out) if np.isscalar(s) else out
 
 
 def seminorm_p(u, K: Kernel) -> float:
@@ -103,8 +107,8 @@ def apply_flap(u, K: Kernel) -> np.ndarray:
     """
     v = as_grid_function(u, K.n)
     diff = v[:, None] - v[None, :]
-    pair = (K.W * _phi_p_array(diff, K.p)).sum(axis=1)
-    return 2.0 * K.p * (pair + K.cell_weight * K.tail * _phi_p_array(v, K.p))
+    pair = (K.W * phi_p(diff, K.p)).sum(axis=1)
+    return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi_p(v, K.p))
 
 
 def quadratic_form_matrix(K: Kernel) -> np.ndarray:

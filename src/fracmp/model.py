@@ -28,15 +28,7 @@ from .errors import (
     UsageError,
 )
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, apply_flap, seminorm_p
-
-
-def phi_p(s, p: float):
-    """The odd power map |s|^(p-2) s, written as sign(s)|s|^(p-1) (p > 1)."""
-    if np.isscalar(s):
-        return float(np.sign(s) * np.abs(s) ** (p - 1.0))
-    s = np.asarray(s, dtype=float)
-    return np.sign(s) * np.abs(s) ** (p - 1.0)
+from .kernel import Kernel, apply_flap, phi_p, seminorm_p
 
 
 @dataclass(frozen=True)

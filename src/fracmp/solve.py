@@ -26,8 +26,8 @@ from scipy import optimize
 from ._descent import bb_alpha
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, apply_flap, norm_W, seminorm_p
-from .model import Problem, energy, f_eval, gradient, phi_p, primitive_envelope, residual_norm
+from .kernel import Kernel, apply_flap, norm_W, phi_p, seminorm_p
+from .model import Problem, energy, f_eval, gradient, primitive_envelope, residual_norm
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +44,11 @@ def _slack(value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CriticalPoint:
-    """A grid function with its energy, defect, classification and history."""
+    """A grid function with its energy, defect, classification and history.
+
+    For the mountain pass, iterations counts the energy and gradient
+    evaluations the path search made plus the polish flow steps.
+    """
 
     u: np.ndarray
     value: float
@@ -373,18 +377,32 @@ def _refine_maximizer(path: np.ndarray, J: np.ndarray, kmax: int,
     return best_u.copy()
 
 
-def _refined_path(path: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
+                  accept=None, start: int = 0
+                  ) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Vertices interleaved with segment midpoints, and their energies.
 
     The max over this refined sample set is what the accept test protects;
     a plain vertex max can miss the ridge entirely once a segment hops it.
+    ends holds the energies of the two pinned endpoints, which are never
+    re-evaluated.  With an accept test, samples are evaluated outward from
+    index start and the scan stops at the first one that fails it; the
+    energies are then None.  Returns (samples, energies, evaluations made).
     """
     P = path.shape[0] - 1
     fine = np.empty((2 * P + 1, path.shape[1]))
     fine[0::2] = path
     fine[1::2] = 0.5 * (path[:-1] + path[1:])
-    Jf = np.array([energy(fine[k], prob) for k in range(2 * P + 1)])
-    return fine, Jf
+    Jf = np.empty(2 * P + 1)
+    Jf[0], Jf[2 * P] = ends
+    if accept is not None and not (accept(Jf[0]) and accept(Jf[2 * P])):
+        return fine, None, 0
+    order = sorted(range(1, 2 * P), key=lambda k: abs(k - start))
+    for evals, k in enumerate(order, start=1):
+        Jf[k] = energy(fine[k], prob)
+        if accept is not None and not accept(Jf[k]):
+            return fine, None, evals
+    return fine, Jf, len(order)
 
 
 def _hessian_product(w: np.ndarray, xi: np.ndarray, prob: Problem,
@@ -442,24 +460,34 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
 
     ts = np.linspace(0.0, 1.0, P + 1)[:, None]
     path = a0[None, :] * (1.0 - ts) + a1[None, :] * ts
-    J = np.array([energy(path[k], prob) for k in range(P + 1)])
-    _, Jf = _refined_path(path, prob)
+    # path[0] and path[P] are e0 and e1 and never move
+    ends = (J0, J1)
+    fine, Jf, made = _refined_path(path, prob, ends)
+    evals = 2 + made
     M = float(np.max(Jf))
     levels = [M]
     sep = float(np.max(np.abs(a1 - a0)))
+
+    def _failure(message: str) -> SolverError:
+        kref = int(np.argmax(Jf))
+        u = fine[kref].copy()
+        last = CriticalPoint(u=u, value=float(Jf[kref]),
+                             residual=residual_norm(u, prob), tag="unknown",
+                             iterations=evals, path_value=M,
+                             trace=np.asarray(levels))
+        return SolverError(message, last=last, iterations=outer, residual=res_max)
 
     # per-vertex trust radius: keeps any single step bounded even when a
     # vertex sits on a steep unbounded descent direction
     delta = 0.05 * sep
     alpha = None
-    evals = 3 * P + 2
     stall = 0
     res_max = np.inf
     outer = 0
     for outer in range(max_outer):
         G = np.array([gradient(path[k], prob) for k in range(1, P)])
         evals += P - 1
-        kmax = int(np.argmax(J))
+        kmax = int(np.argmax(Jf[0::2]))
         k_int = min(max(kmax, 1), P - 1)
         res_max = float(np.linalg.norm(G[k_int - 1]) / np.sqrt(prob.h))
         if res_max <= tol:
@@ -485,17 +513,20 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
         if alpha is None:
             gs = float(np.max(np.linalg.norm(G, axis=1)))
             alpha = 0.05 * sep / max(gs, 1e-30)
+        # a trial is rejected at its first refined sample over the level,
+        # so the scan starts where the current path peaks
+        bound = M + _slack(M)
+        kref = int(np.argmax(Jf))
         accepted = False
         for _ in range(45):
             sup = alpha * np.max(np.abs(F), axis=1)
             clip = np.minimum(1.0, delta / np.maximum(sup, 1e-300))
             trial = path.copy()
             trial[1:P] = path[1:P] + (alpha * clip)[:, None] * F
-            J_t = np.array([energy(trial[k], prob) for k in range(P + 1)])
-            _, Jf_t = _refined_path(trial, prob)
-            evals += 3 * P + 2
-            M_t = float(np.max(Jf_t))
-            if np.all(np.isfinite(Jf_t)) and M_t <= M + _slack(M):
+            fine_t, Jf_t, made = _refined_path(
+                trial, prob, ends, lambda v: np.isfinite(v) and v <= bound, kref)
+            evals += made
+            if Jf_t is not None:
                 accepted = True
                 break
             alpha *= 0.5
@@ -505,31 +536,29 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
                 break
             alpha = None
             continue
-        path, J = trial, J_t
-        M_new = M_t
+        path, fine, Jf = trial, fine_t, Jf_t
+        M_new = float(np.max(Jf))
         alpha *= 1.25
         # re-distribute, but never let bookkeeping raise the recorded level
-        re_path = _reparametrize(path, J)
-        J_re = np.array([energy(re_path[k], prob) for k in range(P + 1)])
-        _, Jf_re = _refined_path(re_path, prob)
-        evals += 3 * P + 2
-        if float(np.max(Jf_re)) <= M_new + _slack(M_new):
-            path, J = re_path, J_re
-            M_new = min(M_new, float(np.max(Jf_re)))
+        re_path = _reparametrize(path, Jf[0::2])
+        bound_re = M_new + _slack(M_new)
+        fine_re, Jf_re, made = _refined_path(
+            re_path, prob, ends, lambda v: v <= bound_re, int(np.argmax(Jf)))
+        evals += made
+        if Jf_re is not None:
+            path, fine, Jf = re_path, fine_re, Jf_re
+            M_new = min(M_new, float(np.max(Jf)))
         M = min(M, M_new)
         levels.append(M)
         if float(np.max(np.abs(path))) > 50.0 * max(sep, 1.0):
-            raise SolverError("mountain-pass path diverged", last=None,
-                              iterations=outer, residual=res_max)
+            raise _failure("mountain-pass path diverged")
         if np.max(np.abs(path[1:P] - a0[None, :])) < 1e-9 * sep or \
            np.max(np.abs(path[1:P] - a1[None, :])) < 1e-9 * sep:
-            raise SolverError("path collapsed onto an endpoint", last=None,
-                              iterations=outer, residual=res_max)
+            raise _failure("path collapsed onto an endpoint")
         if len(levels) > 40 and levels[-40] - M < 1e-10 * (1.0 + abs(M)):
             break
 
-    J_path_min = float(np.min(J))
-    fine, Jf = _refined_path(path, prob)
+    J_path_min = float(np.min(Jf[0::2]))
     kref = int(np.argmax(Jf))
     w0 = _refine_maximizer(fine, Jf, kref, prob)
     tangent = fine[min(kref + 1, 2 * P)] - fine[max(kref - 1, 0)]
@@ -580,9 +609,7 @@ def _stable_step(w: np.ndarray, v: np.ndarray, prob: Problem,
     dirs = [v] + [rng.standard_normal(w.size) for _ in range(3)]
     for xi in dirs:
         xi = xi / max(float(np.linalg.norm(xi)), 1e-300)
-        Hxi = (gradient(w + fd_eps * xi, prob)
-               - gradient(w - fd_eps * xi, prob)) / (2.0 * fd_eps)
-        L = max(L, float(np.linalg.norm(Hxi)))
+        L = max(L, float(np.linalg.norm(_hessian_product(w, xi, prob, fd_eps))))
     return 1.0 / L
 
 

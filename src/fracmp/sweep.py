@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Config, lambdas, load_potential, validate_config
 from .eigen import first_eigenpair
-from .errors import ConfigurationError, ExportError, FracmpError, SolverError, UsageError
+from .errors import ConfigurationError, ExportError, FracmpError, UsageError
 from .grid import build_grid
 from .kernel import assemble_kernel, norm_W
 from .model import make_nonlinearity, make_problem
@@ -160,7 +160,7 @@ def sweep(cfg: Config, progress=None) -> SweepResult:
                 distinct_count=1 + (1 if second is not None else 0),
                 in_hat1=in1, in_hat2=in2)
             solutions.append((lam, cp, second))
-        except (SolverError, FracmpError) as exc:
+        except FracmpError as exc:
             rec = SweepRecord(lam=lam, norm_W=float("nan"), norm_inf=float("nan"),
                               energy=float("nan"), residual=float("nan"),
                               positive=False, distinct_count=0,

@@ -10,7 +10,9 @@ frozen iterates.
 import numpy as np
 import pytest
 
+import fracmp.solve
 from fracmp import (
+    CriticalPoint,
     PreconditionError,
     SolverError,
     UsageError,
@@ -208,6 +210,28 @@ def test_mountain_pass_argument_checks(prob96, endpoints96):
         mountain_pass(prob96, e0, e1, P=7)
     with pytest.raises(UsageError):
         mountain_pass(prob96, e1, e1)
+
+
+def test_mountain_pass_failure_keeps_path_maximiser(prob96, endpoints96, monkeypatch):
+    # a re-parameterisation that folds every interior vertex onto e0 forces
+    # the collapse branch on the first outer iteration
+    def collapse(path, J):
+        out = path.copy()
+        out[1:-1] = path[0]
+        return out
+
+    monkeypatch.setattr(fracmp.solve, "_reparametrize", collapse)
+    e0, e1, _, _ = endpoints96
+    with pytest.raises(SolverError, match="collapsed") as err:
+        mountain_pass(prob96, e0, e1, tol=1e-6)
+    last = err.value.last
+    assert isinstance(last, CriticalPoint)
+    assert last.value == energy(last.u, prob96)
+    assert last.residual == residual_norm(last.u, prob96)
+    # the maximiser of the collapsed path's refined samples
+    fine = [e0, 0.5 * (e0 + e1), e1]
+    assert last.value == max(energy(x, prob96) for x in fine)
+    assert last.iterations > 0 and last.path_value is not None
 
 
 def test_comparison_equal_inputs(prob96):
