@@ -1,7 +1,17 @@
-"""Shared step-size plumbing for the monotone descent loops."""
+"""Step size, acceptance slack and stall window shared by the descent loops."""
 from __future__ import annotations
 
 import numpy as np
+
+# Acceptance slack and stagnation window for the descent loops.  The slack
+# lets the iteration keep moving once objective decrements underflow; the
+# window aborts a run whose residual has stopped improving.
+_EPS_SLACK = 1e-14
+_STALL_WINDOW = 500
+
+
+def _slack(value: float) -> float:
+    return _EPS_SLACK * (1.0 + abs(value))
 
 
 def bb_alpha(du: np.ndarray, dg: np.ndarray, fallback: float,

@@ -71,11 +71,20 @@ def _single_lambda(cfg: Config) -> float:
     return float(lams[0])
 
 
+def _out_path(cfg: Config, name: str) -> str:
+    """Path of an output file, creating the output directory if needed."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ExportError("cannot create output directory (%s)" % exc.strerror,
+                          cfg.out_dir) from exc
+    return os.path.join(cfg.out_dir, name)
+
+
 def _emit_report(report: dict, cfg: Config, name: str) -> None:
     text = json.dumps(report, indent=2)
     print(text)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, name)
+    path = _out_path(cfg, name)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -84,9 +93,11 @@ def _emit_report(report: dict, cfg: Config, name: str) -> None:
 
 
 def _write_solution(u, grid, cfg: Config, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, name)
-    write_gridfn(path, u, grid)
+    path = _out_path(cfg, name)
+    try:
+        write_gridfn(path, u, grid)
+    except OSError as exc:
+        raise ExportError("cannot write solution %s" % path, path) from exc
     return path
 
 
@@ -195,6 +206,7 @@ def cmd_solve(cfg: Config, ref_path: str | None) -> int:
 
 def cmd_sweep(cfg: Config) -> int:
     validate_config(cfg)
+    out_path = _out_path(cfg, "sweep.%s" % cfg.fmt)
 
     def progress(rec):
         if rec.ok:
@@ -205,8 +217,6 @@ def cmd_sweep(cfg: Config) -> int:
             print("lambda=%.6g: FAILED (%s)" % (rec.lam, rec.error))
 
     result = sweep(cfg, progress=progress)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    out_path = os.path.join(cfg.out_dir, "sweep.%s" % cfg.fmt)
     export(result.records, cfg.fmt, out_path)
     print("table: %s" % out_path)
     if result.fit is not None:

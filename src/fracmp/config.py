@@ -7,6 +7,7 @@ start/stop/count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ _FLOAT_KEYS = {"a", "b", "s", "p", "q", "f0", "theta", "V_const",
                "lambda", "lambda_start", "lambda_stop",
                "eigen_tol", "solve_tol", "mp_tol"}
 _ALL_KEYS = _INT_KEYS | _STR_KEYS | _FLOAT_KEYS
+_ATTR = {"lambda": "lam", "format": "fmt"}
 _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
 
 
@@ -63,6 +65,10 @@ class Config:
 
 
 def _check(cfg: Config) -> Config:
+    for key in sorted(_FLOAT_KEYS):
+        value = getattr(cfg, _ATTR.get(key, key))
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError("%s must be finite, got %r" % (key, value))
     if not cfg.a < cfg.b:
         raise ConfigurationError("need a < b, got a=%g b=%g" % (cfg.a, cfg.b))
     if cfg.n < 1:
@@ -123,7 +129,7 @@ def parse_config(path: str) -> Config:
         raise ConfigurationError("%s: missing required keys: %s" % (path, ", ".join(missing)))
     kwargs = {}
     for key, value in raw.items():
-        attr = {"lambda": "lam", "format": "fmt"}.get(key, key)
+        attr = _ATTR.get(key, key)
         try:
             if key in _INT_KEYS:
                 kwargs[attr] = int(value)

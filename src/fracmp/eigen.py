@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._descent import bb_alpha
+from ._descent import _STALL_WINDOW, _slack, bb_alpha
 from .errors import PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
 from .kernel import Kernel, apply_flap, phi_p, quadratic_form_matrix, seminorm_p
@@ -28,16 +28,6 @@ log = logging.getLogger(__name__)
 
 EIGEN_CAP_PER_NODE = 50
 TORSION_CAP_PER_NODE = 200
-
-# Acceptance slack and stagnation window for the descent loops.  The slack
-# lets the iteration keep moving once objective decrements underflow; the
-# window aborts a run whose residual has stopped improving.
-_EPS_SLACK = 1e-14
-_STALL_WINDOW = 500
-
-
-def _slack(value: float) -> float:
-    return _EPS_SLACK * (1.0 + abs(value))
 
 
 @dataclass(frozen=True, eq=False)

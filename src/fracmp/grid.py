@@ -90,8 +90,11 @@ def write_gridfn(path, u, grid: Grid) -> None:
 
 def read_gridfn(path) -> tuple[np.ndarray, dict]:
     """Read a grid-function file; return (values, header dict with n, a, b)."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            raw = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigurationError("cannot read grid function %s: %s" % (path, exc)) from exc
     if not raw or not raw[0].startswith(GRIDFN_MAGIC):
         raise ConfigurationError("%s: missing '%s' header" % (path, GRIDFN_MAGIC))
     meta = {}
@@ -99,7 +102,10 @@ def read_gridfn(path) -> tuple[np.ndarray, dict]:
         key, _, val = tok.partition("=")
         if key not in ("n", "a", "b") or not val:
             raise ConfigurationError("%s: bad header token %r" % (path, tok))
-        meta[key] = int(val) if key == "n" else float(val)
+        try:
+            meta[key] = int(val) if key == "n" else float(val)
+        except ValueError:
+            raise ConfigurationError("%s: bad header token %r" % (path, tok)) from None
     if set(meta) != {"n", "a", "b"}:
         raise ConfigurationError("%s: header must carry n, a and b" % path)
     body = [ln for ln in raw[1:] if ln.strip()]

@@ -10,6 +10,11 @@ The zero exterior extension turns the double integral over R^2 into a sum
 over interior cell pairs plus, for each node, an exterior tail integral
 with closed form t_i = [(x_i-a)^(-sp) + (b-x_i)^(-sp)] / (sp).  Both
 orderings of (x, y) are counted, hence the factor 2 on the tail.
+
+The pair table |u_i - u_j|^e of the seminorm (e = p) and of the operator
+(e = p - 1, odd) is symmetric, antisymmetric in the odd case, so each pair
+power is computed once: a row block at a time, over the columns at or right
+of the block's first row, the rest mirrored from the block's transpose.
 """
 from __future__ import annotations
 
@@ -19,6 +24,11 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .grid import Grid, as_grid_function
+
+# Rows of the pair table computed per block: large enough to amortise the
+# per-call overhead of numpy, small enough that the block temporaries stay
+# O(n * block) beside the one n x n table.
+_PAIR_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +91,35 @@ def phi_p(s, p: float):
     return float(out) if np.isscalar(s) else out
 
 
+def _pair_power(v: np.ndarray, e: float, odd: bool) -> np.ndarray:
+    """The n x n table |v_i - v_j|^e, times sign(v_i - v_j) when odd.
+
+    Each row block computes the columns j >= its first row; the entries
+    below the block are its transpose, negated when odd.  IEEE subtraction
+    gives v_j - v_i = -(v_i - v_j) exactly, so every entry is the float the
+    full elementwise formula gives (0.0 - x keeps zero entries at +0.0).
+    Up to one block of rows the loop runs once over the whole table.  The
+    odd map at e = 1 is the plain difference, with no power to save.
+    """
+    if odd and e == 1.0:
+        return v[:, None] - v[None, :]
+    n = v.size
+    M = np.empty((n, n))
+    for r0 in range(0, n, _PAIR_BLOCK):
+        r1 = min(r0 + _PAIR_BLOCK, n)
+        blk = M[r0:r1, r0:]
+        np.subtract(v[r0:r1, None], v[None, r0:], out=blk)
+        sign = np.sign(blk) if odd else None
+        np.abs(blk, out=blk)
+        np.power(blk, e, out=blk)
+        if odd:
+            np.multiply(sign, blk, out=blk)
+            np.subtract(0.0, blk[:, r1 - r0:].T, out=M[r1:, r0:r1])
+        else:
+            M[r1:, r0:r1] = blk[:, r1 - r0:].T
+    return M
+
+
 def seminorm_p(u, K: Kernel) -> float:
     """S(u): the discrete Gagliardo double sum plus the exterior tail term.
 
@@ -88,8 +127,9 @@ def seminorm_p(u, K: Kernel) -> float:
     norm itself.
     """
     v = as_grid_function(u, K.n)
-    diff = np.abs(v[:, None] - v[None, :])
-    interior = float(np.sum(K.W * diff ** K.p))
+    M = _pair_power(v, K.p, False)
+    np.multiply(K.W, M, out=M)
+    interior = float(np.sum(M))
     exterior = 2.0 * K.cell_weight * float(np.sum(K.tail * np.abs(v) ** K.p))
     return interior + exterior
 
@@ -106,8 +146,9 @@ def apply_flap(u, K: Kernel) -> np.ndarray:
     <g, u> = p S(u) (Euler identity for the p-homogeneous S).
     """
     v = as_grid_function(u, K.n)
-    diff = v[:, None] - v[None, :]
-    pair = (K.W * phi_p(diff, K.p)).sum(axis=1)
+    M = _pair_power(v, K.p - 1.0, True)
+    np.multiply(K.W, M, out=M)
+    pair = M.sum(axis=1)
     return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi_p(v, K.p))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from ._descent import bb_alpha
+from ._descent import _STALL_WINDOW, _slack, bb_alpha
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
 from .kernel import Kernel, apply_flap, norm_W, phi_p, seminorm_p
@@ -33,13 +33,8 @@ log = logging.getLogger(__name__)
 
 DESCENT_CAP_PER_NODE = 200
 DISTINCT_REL = 1e-3
-_EPS_SLACK = 1e-14
 _DIVERGE_VALUE = -1e14
 _DIVERGE_SUP = 1e12
-
-
-def _slack(value: float) -> float:
-    return _EPS_SLACK * (1.0 + abs(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +222,7 @@ def descend(u0, prob: Problem, tol: float, max_iter: int | None = None,
         if residual < 0.99 * best_residual:
             best_residual = residual
             best_it = it
-        elif it - best_it > 500:
+        elif it - best_it > _STALL_WINDOW:
             break
         if g_prev is not None:
             alpha = bb_alpha(du, g - g_prev, 2.0 * alpha)

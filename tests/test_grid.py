@@ -129,3 +129,14 @@ def test_gridfn_read_rejects_corrupt_files(tmp_path):
     junk.write_text("\n".join(text[:-1] + ["not-a-number"]) + "\n")
     with pytest.raises(ConfigurationError):
         read_gridfn(junk)
+
+    for good, bad in (("n=3", "n=abc"), ("a=0", "a=zero")):
+        bad_value = tmp_path / "bad_value.txt"
+        header = text[0].replace(good, bad)
+        assert header != text[0]
+        bad_value.write_text("\n".join([header] + text[1:]) + "\n")
+        with pytest.raises(ConfigurationError, match="bad header token"):
+            read_gridfn(bad_value)
+
+    with pytest.raises(ConfigurationError, match="cannot read"):
+        read_gridfn(tmp_path / "absent.txt")

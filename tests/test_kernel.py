@@ -1,8 +1,10 @@
 """Nonlocal kernel assembly and the seminorm/operator pair.
 
 Oracles used here: adaptive quadrature (scipy.integrate.quad) for the
-exterior tail and the adjacent-cell weight, and a brute-force double
-midpoint quadrature of the defining double integral for the seminorm.
+exterior tail and the adjacent-cell weight, a brute-force double
+midpoint quadrature of the defining double integral for the seminorm,
+and the full-matrix formulas, every pair power computed, for the
+row-blocked symmetric pair table.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from fracmp import (
     quadratic_form_matrix,
     seminorm_p,
 )
+from fracmp.kernel import _PAIR_BLOCK
 
 
 def test_assemble_rejects_bad_regimes():
@@ -161,14 +164,16 @@ def test_apply_flap_zero_and_odd():
 
 
 def test_apply_flap_euler_identity():
-    g = build_grid(0.0, 1.0, 20)
+    # sizes below and above the pair-table block
     rng = np.random.default_rng(9)
-    for p in (2.0, 2.5, 3.0):
-        K = assemble_kernel(g, 0.9 / (p + 0.5), p)
-        for _ in range(5):
-            u = rng.standard_normal(20)
-            pairing = float(apply_flap(u, K) @ u)
-            assert pairing == pytest.approx(p * seminorm_p(u, K), rel=1e-10)
+    for n in (20, _PAIR_BLOCK + 1, 2 * _PAIR_BLOCK + 1):
+        g = build_grid(0.0, 1.0, n)
+        for p in (1.5, 2.0, 2.5, 3.0):
+            K = assemble_kernel(g, 0.9 / (p + 0.5), p)
+            for _ in range(5):
+                u = rng.standard_normal(n)
+                pairing = float(apply_flap(u, K) @ u)
+                assert pairing == pytest.approx(p * seminorm_p(u, K), rel=1e-10)
 
 
 def test_apply_flap_is_gradient_of_seminorm():
@@ -235,3 +240,70 @@ def test_quadratic_form_matrix_needs_p_two():
     K = assemble_kernel(g, 0.3, 2.5)
     with pytest.raises(UsageError):
         quadratic_form_matrix(K)
+
+
+def _full_seminorm(u, K):
+    diff = np.abs(u[:, None] - u[None, :])
+    interior = float(np.sum(K.W * diff ** K.p))
+    return interior + 2.0 * K.cell_weight * float(np.sum(K.tail * np.abs(u) ** K.p))
+
+
+def _full_flap(u, K):
+    def phi(d):
+        return d if K.p == 2.0 else np.sign(d) * np.abs(d) ** (K.p - 1.0)
+
+    diff = u[:, None] - u[None, :]
+    pair = (K.W * phi(diff)).sum(axis=1)
+    return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi(u))
+
+
+_SIZES = (1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 2 * _PAIR_BLOCK + 1)
+
+
+def _pair_inputs(st):
+    """(n, p, seed, levels, scale): sizes around the block, p below, at and
+    above 2, and the p where the power is a square or a square root
+    (p = 1.5, 2, 3); levels > 0 draws u from a few values, so many
+    differences are 0."""
+    p = st.one_of(st.floats(1.05, 1.95), st.sampled_from((1.5, 2.0, 3.0)),
+                  st.floats(2.05, 4.0))
+    return st.tuples(st.sampled_from(_SIZES), p, st.integers(0, 2 ** 32 - 1),
+                     st.sampled_from((0, 1, 3)), st.floats(1e-3, 1e3))
+
+
+def _draw_u(n, seed, levels, scale):
+    rng = np.random.default_rng(seed)
+    if levels:
+        return scale * rng.integers(-levels, levels + 1, n) / levels
+    return scale * rng.standard_normal(n)
+
+
+def _kernel(n, p):
+    return assemble_kernel(build_grid(0.0, 1.0, n), 0.9 / (p + 0.5), p)
+
+
+def test_pair_table_matches_full_formula_bit_for_bit():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(_pair_inputs(hyp.strategies))
+    def check(args):
+        n, p, seed, levels, scale = args
+        K = _kernel(n, p)
+        u = _draw_u(n, seed, levels, scale)
+        assert (np.float64(seminorm_p(u, K)).tobytes()
+                == np.float64(_full_seminorm(u, K)).tobytes())
+        assert apply_flap(u, K).tobytes() == _full_flap(u, K).tobytes()
+
+    check()
+
+
+def test_blocked_pair_table_matches_full_formula():
+    # three row blocks, repeated values, without hypothesis
+    n = 2 * _PAIR_BLOCK + 1
+    for p in (1.5, 2.0, 2.5, 3.0):
+        K = _kernel(n, p)
+        u = _draw_u(n, 5, 3, 0.7)
+        assert (np.float64(seminorm_p(u, K)).tobytes()
+                == np.float64(_full_seminorm(u, K)).tobytes())
+        assert apply_flap(u, K).tobytes() == _full_flap(u, K).tobytes()

@@ -183,6 +183,30 @@ def test_cli_gate_violation_exits_2(tmp_path):
     assert main(["eigen", path]) == 2
 
 
+@pytest.mark.parametrize("line", ["eigen_tol = inf", "eigen_tol = nan",
+                                  "solve_tol = inf", "mp_tol = nan",
+                                  "f0 = inf", "V_const = nan"])
+def test_cli_non_finite_value_exits_2(tmp_path, capsys, line):
+    # eigen_tol = inf used to exit 0 with the hat start as the eigenpair
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in SMALL.splitlines() if ln.split("=")[0].strip() != key]
+    path = _write(tmp_path, "\n".join(kept + [line]) + "\n")
+    assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
+    assert "%s must be finite" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eigen", "sweep"])
+def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    text = SMALL
+    if command == "sweep":
+        text = SMALL.replace("lambda = 0.5",
+                             "lambda_start = 0.05\nlambda_stop = 0.8\nlambda_count = 4")
+    assert main([command, _write(tmp_path, text), "--out", str(taken)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 def test_cli_eigen_writes_report(tmp_path, capsys):
     out = tmp_path / "out"
     path = _write(tmp_path, SMALL)
