@@ -81,10 +81,9 @@ def _out_path(cfg: Config, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _emit_report(report: dict, cfg: Config, name: str) -> None:
+def _emit_report(report: dict, path: str) -> None:
     text = json.dumps(report, indent=2)
     print(text)
-    path = _out_path(cfg, name)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -92,8 +91,7 @@ def _emit_report(report: dict, cfg: Config, name: str) -> None:
         raise ExportError("cannot write report %s" % path, path) from exc
 
 
-def _write_solution(u, grid, cfg: Config, name: str) -> str:
-    path = _out_path(cfg, name)
+def _write_solution(u, grid, path: str) -> str:
     try:
         write_gridfn(path, u, grid)
     except OSError as exc:
@@ -103,6 +101,8 @@ def _write_solution(u, grid, cfg: Config, name: str) -> str:
 
 def cmd_eigen(cfg: Config) -> int:
     validate_config(cfg)
+    phi_path = _out_path(cfg, "phi1.txt")
+    report_path = _out_path(cfg, "eigen_report.json")
     grid, kern, V, _ = _assemble(cfg)
     eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
     validate_config(cfg, eig.lambda1, V)
@@ -111,14 +111,16 @@ def cmd_eigen(cfg: Config) -> int:
         "residual": eig.residual,
         "iterations": eig.iterations,
         "phi1_min": float(np.min(eig.phi1)),
-        "phi1_file": _write_solution(eig.phi1, grid, cfg, "phi1.txt"),
+        "phi1_file": _write_solution(eig.phi1, grid, phi_path),
     }
-    _emit_report(report, cfg, "eigen_report.json")
+    _emit_report(report, report_path)
     return 0
 
 
 def cmd_torsion(cfg: Config) -> int:
     validate_config(cfg)
+    u_path = _out_path(cfg, "torsion_u.txt")
+    report_path = _out_path(cfg, "torsion_report.json")
     grid, kern, V, _ = _assemble(cfg)
     lam1 = None
     if V.cV > 0.0:
@@ -133,9 +135,9 @@ def cmd_torsion(cfg: Config) -> int:
         "positive": bool(tor.positive),
         "min_value": float(np.min(tor.u)),
         "norm_inf": float(np.max(np.abs(tor.u))),
-        "solution_file": _write_solution(tor.u, grid, cfg, "torsion_u.txt"),
+        "solution_file": _write_solution(tor.u, grid, u_path),
     }
-    _emit_report(report, cfg, "torsion_report.json")
+    _emit_report(report, report_path)
     return 0
 
 
@@ -152,7 +154,15 @@ def _constants_dict(consts) -> dict:
 def cmd_solve(cfg: Config, ref_path: str | None) -> int:
     validate_config(cfg)
     lam = _single_lambda(cfg)
+    mp_path = _out_path(cfg, "solution_mp.txt")
+    second_path = _out_path(cfg, "solution_second.txt")
+    report_path = _out_path(cfg, "solve_report.json")
     grid, kern, V, nl = _assemble(cfg)
+    ref = None
+    if ref_path is not None:
+        ref, meta = read_gridfn(ref_path)
+        if meta["n"] != grid.n or meta["a"] != grid.a or meta["b"] != grid.b:
+            raise UsageError("reference solution %s is on a different grid" % ref_path)
     eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
     validate_config(cfg, eig.lambda1, V)
     prob = make_problem(grid, kern, V, lam, nl)
@@ -178,7 +188,7 @@ def cmd_solve(cfg: Config, ref_path: str | None) -> int:
         "norm_W": norm_W(cp.u, kern),
         "norm_inf": float(np.max(np.abs(cp.u))),
         "constants": _constants_dict(consts),
-        "solution_file": _write_solution(cp.u, grid, cfg, "solution_mp.txt"),
+        "solution_file": _write_solution(cp.u, grid, mp_path),
     }
     if second is not None:
         pos2, min2, _ = positivity_check(second, grid, cfg.s)
@@ -190,17 +200,13 @@ def cmd_solve(cfg: Config, ref_path: str | None) -> int:
             "min_value": min2,
             "norm_inf": float(np.max(np.abs(second.u))),
             "distinct": distinct(cp.u, second.u),
-            "solution_file": _write_solution(second.u, grid, cfg,
-                                             "solution_second.txt"),
+            "solution_file": _write_solution(second.u, grid, second_path),
         }
     else:
         report["second"] = None
-    if ref_path is not None:
-        values, meta = read_gridfn(ref_path)
-        if meta["n"] != grid.n or meta["a"] != grid.a or meta["b"] != grid.b:
-            raise UsageError("reference solution %s is on a different grid" % ref_path)
-        report["distinct_from_ref"] = distinct(cp.u, values)
-    _emit_report(report, cfg, "solve_report.json")
+    if ref is not None:
+        report["distinct_from_ref"] = distinct(cp.u, ref)
+    _emit_report(report, report_path)
     return 0
 
 

@@ -31,6 +31,9 @@ _FLOAT_KEYS = {"a", "b", "s", "p", "q", "f0", "theta", "V_const",
 _ALL_KEYS = _INT_KEYS | _STR_KEYS | _FLOAT_KEYS
 _ATTR = {"lambda": "lam", "format": "fmt"}
 _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
+# Largest dense storage a config may ask for: the n x n weight table plus
+# one n x n pair table, 16 n^2 bytes (n up to 16384).
+MAX_TABLE_BYTES = 4 * 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,11 @@ def _check(cfg: Config) -> Config:
         raise ConfigurationError("need a < b, got a=%g b=%g" % (cfg.a, cfg.b))
     if cfg.n < 1:
         raise ConfigurationError("need n >= 1, got %d" % cfg.n)
+    if 16 * cfg.n ** 2 > MAX_TABLE_BYTES:
+        raise ConfigurationError(
+            "n = %d needs %.3g GiB for the weight and pair tables (16 n^2 bytes), "
+            "more than the %g GiB limit" % (cfg.n, 16 * cfg.n ** 2 / 2 ** 30,
+                                             MAX_TABLE_BYTES / 2 ** 30))
     if cfg.V_const is not None and cfg.V_file is not None:
         raise ConfigurationError("V_const and V_file are mutually exclusive")
     grid_keys = (cfg.lambda_start, cfg.lambda_stop, cfg.lambda_count)

@@ -205,9 +205,9 @@ def torsion_solve(K: Kernel, grid: Grid, V: Potential, tol: float,
     hat = grid.d / np.max(grid.d)
     scales = np.geomspace(1e-3, 1e3, 25)
     vals = [torsion_energy(t * hat, K, grid, V, rhs) for t in scales]
-    u = float(scales[int(np.argmin(vals))]) * hat
-
-    E = torsion_energy(u, K, grid, V, rhs)
+    best = int(np.argmin(vals))
+    u = scales[best] * hat
+    E = vals[best]
     trace = [E]
     g_prev = None
     du = None

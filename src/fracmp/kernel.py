@@ -15,20 +15,52 @@ The pair table |u_i - u_j|^e of the seminorm (e = p) and of the operator
 (e = p - 1, odd) is symmetric, antisymmetric in the odd case, so each pair
 power is computed once: a row block at a time, over the columns at or right
 of the block's first row, the rest mirrored from the block's transpose.
+The table is then multiplied by W in place, and summed in full for the
+seminorm and by rows for the operator.
+
+From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, and when the process may
+run on more than one CPU, the calling thread shares this work with one
+worker thread, made on first use (numpy's elementwise loops release the
+interpreter lock).  Both the build and the weighting pop row-block starts
+from one deque, widest block first, so the work splits evenly and a worker
+that starts late or is descheduled just takes fewer blocks.  Build block
+r0:r1 owns M[r0:r1, r0:] and the mirror M[r1:, r0:r1]; weighting block
+r0:r1 owns the rows r0:r1 and their row sums: the blocks write disjoint
+regions.  The seminorm's full sum stays one np.sum over the table on the
+calling thread.  Every entry is the same elementwise operation on the same
+floats whichever thread computes it, and a row's sum reads only that row,
+so both functions return the same bytes on either path.  Below the
+threshold the handoff costs more than the second thread saves
+(tools/kernel_timing.py prints both paths side by side).  The worker's
+scratch comes from the caller, so the worker allocates no array data of
+its own.
 """
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .grid import Grid, as_grid_function
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 # Rows of the pair table computed per block: large enough to amortise the
 # per-call overhead of numpy, small enough that the block temporaries stay
 # O(n * block) beside the one n x n table.
 _PAIR_BLOCK = 128
+# From this many rows on, two threads share the row blocks of a table;
+# below it one thread is faster (tools/kernel_timing.py).
+_PARALLEL_ROWS = 4 * _PAIR_BLOCK
+# The second thread, made on first use (False: one usable CPU).
+_worker: ThreadPoolExecutor | bool | None = None
+_worker_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,33 +123,131 @@ def phi_p(s, p: float):
     return float(out) if np.isscalar(s) else out
 
 
-def _pair_power(v: np.ndarray, e: float, odd: bool) -> np.ndarray:
+def _second_thread(n: int) -> ThreadPoolExecutor | None:
+    """The worker thread that shares the work on an n-row table.
+
+    None below _PARALLEL_ROWS rows or when the process may run on one CPU
+    only; the thread is made on first use.
+    """
+    global _worker
+    if n < _PARALLEL_ROWS:
+        return None
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _worker = (ThreadPoolExecutor(1, thread_name_prefix="fracmp-pairs")
+                       if cpus > 1 else False)
+        return _worker or None
+
+
+def _forget_worker() -> None:
+    # a forked child has no copy of the worker thread: make a new one
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _take(todo: deque):
+    """Row-block starts popped from a deque that both threads share."""
+    while True:
+        try:
+            yield todo.popleft()
+        except IndexError:
+            return
+
+
+def _on_two_threads(worker: ThreadPoolExecutor | None, n: int, work,
+                    here, there) -> None:
+    """Call work(starts, here) over the row-block starts of an n-row table.
+
+    With a worker, work(starts, there) runs on it at the same time and the
+    two calls share the starts: each thread takes the next block when it
+    finishes one, so a worker that starts late, or is descheduled, only
+    takes fewer blocks.  Returns when every block is done.
+    """
+    starts = range(0, n, _PAIR_BLOCK)
+    if worker is None:
+        work(starts, here)
+        return
+    todo = deque(starts)
+    part = worker.submit(work, _take(todo), there)
+    work(_take(todo), here)
+    if not part.cancel():
+        part.result()
+
+
+def _pair_table(v: np.ndarray, e: float, odd: bool) -> np.ndarray:
     """The n x n table |v_i - v_j|^e, times sign(v_i - v_j) when odd.
 
-    Each row block computes the columns j >= its first row; the entries
-    below the block are its transpose, negated when odd.  IEEE subtraction
-    gives v_j - v_i = -(v_i - v_j) exactly, so every entry is the float the
-    full elementwise formula gives (0.0 - x keeps zero entries at +0.0).
-    Up to one block of rows the loop runs once over the whole table.  The
-    odd map at e = 1 is the plain difference, with no power to save.
+    Row block r0:r1 computes the columns j >= r0; the entries below the
+    block are its transpose, negated when odd.  IEEE subtraction gives
+    v_j - v_i = -(v_i - v_j) exactly, so every entry is the float the full
+    elementwise formula gives (0.0 - x keeps zero entries at +0.0).  The
+    odd map at e = 1 is the plain difference, with no power to save: a
+    block fills its whole rows instead.
     """
-    if odd and e == 1.0:
-        return v[:, None] - v[None, :]
     n = v.size
+    plain = odd and e == 1.0
+    worker = _second_thread(n)
+    if plain and worker is None:
+        return v[:, None] - v[None, :]
     M = np.empty((n, n))
-    for r0 in range(0, n, _PAIR_BLOCK):
-        r1 = min(r0 + _PAIR_BLOCK, n)
-        blk = M[r0:r1, r0:]
-        np.subtract(v[r0:r1, None], v[None, r0:], out=blk)
-        sign = np.sign(blk) if odd else None
-        np.abs(blk, out=blk)
-        np.power(blk, e, out=blk)
-        if odd:
-            np.multiply(sign, blk, out=blk)
-            np.subtract(0.0, blk[:, r1 - r0:].T, out=M[r1:, r0:r1])
-        else:
-            M[r1:, r0:r1] = blk[:, r1 - r0:].T
+
+    def fill(starts, sign):
+        for r0 in starts:
+            r1 = min(r0 + _PAIR_BLOCK, n)
+            if plain:
+                np.subtract(v[r0:r1, None], v[None, :], out=M[r0:r1])
+                continue
+            blk = M[r0:r1, r0:]
+            np.subtract(v[r0:r1, None], v[None, r0:], out=blk)
+            if odd:
+                sgn = np.sign(blk, out=sign[:r1 - r0, :n - r0])
+            np.abs(blk, out=blk)
+            np.power(blk, e, out=blk)
+            if odd:
+                np.multiply(sgn, blk, out=blk)
+                np.subtract(0.0, blk[:, r1 - r0:].T, out=M[r1:, r0:r1])
+            else:
+                M[r1:, r0:r1] = blk[:, r1 - r0:].T
+
+    # the odd map's sign scratch, one per thread, so the worker allocates
+    # no array data
+    sign = np.empty((min(_PAIR_BLOCK, n), n)) if odd and not plain else None
+    _on_two_threads(worker, n, fill, sign,
+                    None if sign is None or worker is None else np.empty_like(sign))
     return M
+
+
+def _weigh(M: np.ndarray, W: np.ndarray, row_sums: bool) -> np.ndarray | None:
+    """M *= W in place, and M.sum(axis=1) if asked.
+
+    On two threads, a block of rows at a time: a row's sum reads that row
+    only, so it is the same float however the rows are grouped.
+    """
+    n = M.shape[0]
+    worker = _second_thread(n)
+    if worker is None:
+        np.multiply(W, M, out=M)
+        return M.sum(axis=1) if row_sums else None
+    out = np.empty(n) if row_sums else None
+
+    def weigh(starts, _):
+        for r0 in starts:
+            rows = M[r0:r0 + _PAIR_BLOCK]
+            np.multiply(W[r0:r0 + _PAIR_BLOCK], rows, out=rows)
+            if row_sums:
+                rows.sum(axis=1, out=out[r0:r0 + _PAIR_BLOCK])
+
+    _on_two_threads(worker, n, weigh, None, None)
+    return out
 
 
 def seminorm_p(u, K: Kernel) -> float:
@@ -127,8 +257,8 @@ def seminorm_p(u, K: Kernel) -> float:
     norm itself.
     """
     v = as_grid_function(u, K.n)
-    M = _pair_power(v, K.p, False)
-    np.multiply(K.W, M, out=M)
+    M = _pair_table(v, K.p, False)
+    _weigh(M, K.W, False)
     interior = float(np.sum(M))
     exterior = 2.0 * K.cell_weight * float(np.sum(K.tail * np.abs(v) ** K.p))
     return interior + exterior
@@ -146,9 +276,7 @@ def apply_flap(u, K: Kernel) -> np.ndarray:
     <g, u> = p S(u) (Euler identity for the p-homogeneous S).
     """
     v = as_grid_function(u, K.n)
-    M = _pair_power(v, K.p - 1.0, True)
-    np.multiply(K.W, M, out=M)
-    pair = M.sum(axis=1)
+    pair = _weigh(_pair_table(v, K.p - 1.0, True), K.W, True)
     return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi_p(v, K.p))
 
 

@@ -4,8 +4,15 @@ Oracles used here: adaptive quadrature (scipy.integrate.quad) for the
 exterior tail and the adjacent-cell weight, a brute-force double
 midpoint quadrature of the defining double integral for the seminorm,
 and the full-matrix formulas, every pair power computed, for the
-row-blocked symmetric pair table.
+row-blocked symmetric pair table, built on one thread or on two.
 """
+
+import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +28,8 @@ from fracmp import (
     quadratic_form_matrix,
     seminorm_p,
 )
-from fracmp.kernel import _PAIR_BLOCK
+from fracmp import kernel
+from fracmp.kernel import _PAIR_BLOCK, _PARALLEL_ROWS
 
 
 def test_assemble_rejects_bad_regimes():
@@ -257,7 +265,8 @@ def _full_flap(u, K):
     return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi(u))
 
 
-_SIZES = (1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 2 * _PAIR_BLOCK + 1)
+_SIZES = (1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 2 * _PAIR_BLOCK + 1,
+          _PARALLEL_ROWS - 1, _PARALLEL_ROWS, _PARALLEL_ROWS + 1)
 
 
 def _pair_inputs(st):
@@ -282,6 +291,12 @@ def _kernel(n, p):
     return assemble_kernel(build_grid(0.0, 1.0, n), 0.9 / (p + 0.5), p)
 
 
+def _same_bytes(u, K):
+    assert (np.float64(seminorm_p(u, K)).tobytes()
+            == np.float64(_full_seminorm(u, K)).tobytes())
+    assert apply_flap(u, K).tobytes() == _full_flap(u, K).tobytes()
+
+
 def test_pair_table_matches_full_formula_bit_for_bit():
     hyp = pytest.importorskip("hypothesis")
 
@@ -289,21 +304,81 @@ def test_pair_table_matches_full_formula_bit_for_bit():
     @hyp.given(_pair_inputs(hyp.strategies))
     def check(args):
         n, p, seed, levels, scale = args
-        K = _kernel(n, p)
-        u = _draw_u(n, seed, levels, scale)
-        assert (np.float64(seminorm_p(u, K)).tobytes()
-                == np.float64(_full_seminorm(u, K)).tobytes())
-        assert apply_flap(u, K).tobytes() == _full_flap(u, K).tobytes()
+        _same_bytes(_draw_u(n, seed, levels, scale), _kernel(n, p))
 
     check()
 
 
-def test_blocked_pair_table_matches_full_formula():
-    # three row blocks, repeated values, without hypothesis
-    n = 2 * _PAIR_BLOCK + 1
-    for p in (1.5, 2.0, 2.5, 3.0):
-        K = _kernel(n, p)
-        u = _draw_u(n, 5, 3, 0.7)
-        assert (np.float64(seminorm_p(u, K)).tobytes()
-                == np.float64(_full_seminorm(u, K)).tobytes())
-        assert apply_flap(u, K).tobytes() == _full_flap(u, K).tobytes()
+@pytest.fixture
+def two_threads(monkeypatch):
+    """A second thread for the pair table, also on a one-CPU host."""
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(kernel, "_worker", pool)
+        yield pool
+
+
+def test_blocked_pair_table_matches_full_formula(two_threads):
+    # three row blocks, then both sides of the two-thread threshold, odd
+    # and even n, repeated values, without hypothesis
+    for n in (2 * _PAIR_BLOCK + 1, _PARALLEL_ROWS - 1, _PARALLEL_ROWS,
+              _PARALLEL_ROWS + 1):
+        for p in (1.5, 2.0, 2.5, 3.0):
+            _same_bytes(_draw_u(n, 5, 3, 0.7), _kernel(n, p))
+
+
+def test_concurrent_callers_get_the_serial_bytes(two_threads):
+    # more calling threads than cores share the one worker thread
+    n = _PARALLEL_ROWS + 1
+    kernels = [_kernel(n, p) for p in (1.5, 2.0, 2.5)]
+    inputs = [_draw_u(n, seed, seed % 2 * 3, 1.3) for seed in range(4)]
+    want = [[(_full_seminorm(u, K), _full_flap(u, K).tobytes()) for K in kernels]
+            for u in inputs]
+    got = [None] * len(inputs)
+    start = threading.Barrier(len(inputs))
+
+    def run(i):
+        start.wait(timeout=30)
+        got[i] = [(seminorm_p(inputs[i], K), apply_flap(inputs[i], K).tobytes())
+                  for K in kernels]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert g is not None
+        for (s_got, f_got), (s_want, f_want) in zip(g, w):
+            assert np.float64(s_got).tobytes() == np.float64(s_want).tobytes()
+            assert f_got == f_want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_second_thread(two_threads):
+    # the child has no copy of the parent's worker thread: the parent's
+    # executor would queue the child's work forever, never running it
+    n = _PARALLEL_ROWS + 1
+    K = _kernel(n, 2.5)
+    u = _draw_u(n, 3, 0, 1.0)
+    want = np.float64(seminorm_p(u, K)).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        same = np.float64(seminorm_p(u, K)).tobytes() == want
+        os._exit(0 if same and kernel._worker is not two_threads else 3)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("forked child hung in seminorm_p")
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -195,8 +195,18 @@ def test_cli_non_finite_value_exits_2(tmp_path, capsys, line):
     assert "%s must be finite" % key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eigen", "sweep"])
-def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, command):
+def _no_solver(monkeypatch):
+    # a CLI check that must fail before any solve: every solver raises
+    def solver(*args, **kwargs):
+        raise AssertionError("solver called before the output checks")
+
+    for name in ("first_eigenpair", "torsion_solve", "mountain_pass", "sweep"):
+        monkeypatch.setattr("fracmp.cli.%s" % name, solver)
+
+
+@pytest.mark.parametrize("command", ["eigen", "torsion", "solve", "sweep"])
+def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    _no_solver(monkeypatch)
     taken = tmp_path / "taken"
     taken.write_text("")
     text = SMALL
@@ -205,6 +215,27 @@ def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, command):
                              "lambda_start = 0.05\nlambda_stop = 0.8\nlambda_count = 4")
     assert main([command, _write(tmp_path, text), "--out", str(taken)]) == 2
     assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_cli_solve_bad_ref_exits_2(tmp_path, capsys, monkeypatch):
+    _no_solver(monkeypatch)
+    path = _write(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    assert main(["solve", path, "--out", out, "--ref", str(tmp_path / "absent.txt")]) == 2
+    assert "absent.txt" in capsys.readouterr().err
+    ref = tmp_path / "ref.txt"
+    write_gridfn(ref, np.zeros(16), build_grid(0.0, 1.0, 16))
+    assert main(["solve", path, "--out", out, "--ref", str(ref)]) == 2
+    assert "different grid" in capsys.readouterr().err
+
+
+def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # rejected while the config is read, before any grid or table exists
+    monkeypatch.setattr("fracmp.cli._assemble", None)
+    path = _write(tmp_path, SMALL.replace("n = 32", "n = 1000000"))
+    assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "n = 1000000 needs" in err and "GiB" in err
 
 
 def test_cli_eigen_writes_report(tmp_path, capsys):
