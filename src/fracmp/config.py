@@ -31,8 +31,11 @@ _FLOAT_KEYS = {"a", "b", "s", "p", "q", "f0", "theta", "V_const",
 _ALL_KEYS = _INT_KEYS | _STR_KEYS | _FLOAT_KEYS
 _ATTR = {"lambda": "lam", "format": "fmt"}
 _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
-# Largest dense storage a config may ask for: the n x n weight table plus
-# one n x n pair table, 16 n^2 bytes (n up to 16384).
+# Largest dense storage a config may ask for.  A command holds at most the
+# n x n weight table and one n x n pair table at once, 16 n^2 bytes; at
+# p = 2, check's linear-solver cross-check holds W, the quadratic form's
+# matrix and its Cholesky factor, 24 n^2 bytes.  So n goes up to 16384, or
+# 13377 at p = 2.
 MAX_TABLE_BYTES = 4 * 2 ** 30
 
 
@@ -76,11 +79,12 @@ def _check(cfg: Config) -> Config:
         raise ConfigurationError("need a < b, got a=%g b=%g" % (cfg.a, cfg.b))
     if cfg.n < 1:
         raise ConfigurationError("need n >= 1, got %d" % cfg.n)
-    if 16 * cfg.n ** 2 > MAX_TABLE_BYTES:
+    tables = 3 if cfg.p == 2.0 else 2
+    if 8 * tables * cfg.n ** 2 > MAX_TABLE_BYTES:
         raise ConfigurationError(
-            "n = %d needs %.3g GiB for the weight and pair tables (16 n^2 bytes), "
-            "more than the %g GiB limit" % (cfg.n, 16 * cfg.n ** 2 / 2 ** 30,
-                                             MAX_TABLE_BYTES / 2 ** 30))
+            "n = %d needs %.3g GiB for %d n x n tables (%d n^2 bytes), more than "
+            "the %g GiB limit" % (cfg.n, 8 * tables * cfg.n ** 2 / 2 ** 30, tables,
+                                  8 * tables, MAX_TABLE_BYTES / 2 ** 30))
     if cfg.V_const is not None and cfg.V_file is not None:
         raise ConfigurationError("V_const and V_file are mutually exclusive")
     grid_keys = (cfg.lambda_start, cfg.lambda_stop, cfg.lambda_count)

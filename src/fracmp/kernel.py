@@ -19,37 +19,35 @@ The table is then multiplied by W in place, and summed in full for the
 seminorm and by rows for the operator.
 
 From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, and when the process may
-run on more than one CPU, the calling thread shares this work with one
-worker thread, made on first use (numpy's elementwise loops release the
-interpreter lock).  Both the build and the weighting pop row-block starts
-from one deque, widest block first, so the work splits evenly and a worker
-that starts late or is descheduled just takes fewer blocks.  Build block
-r0:r1 owns M[r0:r1, r0:] and the mirror M[r1:, r0:r1]; weighting block
-r0:r1 owns the rows r0:r1 and their row sums: the blocks write disjoint
-regions.  The seminorm's full sum stays one np.sum over the table on the
-calling thread.  Every entry is the same elementwise operation on the same
-floats whichever thread computes it, and a row's sum reads only that row,
-so both functions return the same bytes on either path.  Below the
-threshold the handoff costs more than the second thread saves
-(tools/kernel_timing.py prints both paths side by side).  The worker's
-scratch comes from the caller, so the worker allocates no array data of
-its own.
+run on more than one CPU, the calling thread shares this work with the one
+thread of a pool, started on first use (numpy's elementwise loops release
+the interpreter lock).  Both the build and the weighting pop row-block
+starts from one deque, widest block first, so the work splits evenly and a
+thread that starts late or is descheduled just takes fewer blocks.  Build
+block r0:r1 owns M[r0:r1, r0:] and the mirror M[r1:, r0:r1]; weighting
+block r0:r1 owns the rows r0:r1 and their row sums: the blocks write
+disjoint regions.  The seminorm's full sum stays one np.sum over the table
+on the calling thread.  Every entry is the same elementwise operation on
+the same floats whichever thread computes it, and a row's sum reads only
+that row, so both functions return the same bytes on one thread or two.
+Below the threshold the second thread costs more than it saves
+(tools/kernel_timing.py prints both paths side by side).  Its scratch
+comes from the caller, so it allocates no array data of its own, and it
+runs in the caller's context, so the caller's np.errstate holds there.
 """
 from __future__ import annotations
 
+import contextvars
 import os
-import threading
+import tracemalloc
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .grid import Grid, as_grid_function
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 # Rows of the pair table computed per block: large enough to amortise the
 # per-call overhead of numpy, small enough that the block temporaries stay
@@ -58,9 +56,24 @@ _PAIR_BLOCK = 128
 # From this many rows on, two threads share the row blocks of a table;
 # below it one thread is faster (tools/kernel_timing.py).
 _PARALLEL_ROWS = 4 * _PAIR_BLOCK
-# The second thread, made on first use (False: one usable CPU).
-_worker: ThreadPoolExecutor | bool | None = None
-_worker_lock = threading.Lock()
+# CPUs this process may run on: one keeps every table on one thread.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# The second thread; the pool starts it on the first submit.  A thread
+# started and joined for each pass instead took about 80 us more per pass
+# than a submit to the waiting pool thread (2-core Xeon, Python 3.11).
+_pool = ThreadPoolExecutor(1, thread_name_prefix="fracmp-pairs")
+
+
+def _new_pool() -> None:
+    # a forked child has no copy of the pool's thread: the old pool would
+    # queue the child's work forever
+    global _pool
+    _pool = ThreadPoolExecutor(1, thread_name_prefix="fracmp-pairs")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +115,15 @@ def assemble_kernel(grid: Grid, s: float, p: float) -> Kernel:
         )
     x = grid.nodes
     h = grid.h
-    sep = np.abs(x[:, None] - x[None, :])
+    # built in place: the one n x n array is W itself
+    W = np.subtract(x[:, None], x[None, :])
+    np.abs(W, out=W)
     with np.errstate(divide="ignore"):
-        W = h * h * sep ** (-(1.0 + sp))
-    idx = np.arange(grid.n)
-    near = np.abs(idx[:, None] - idx[None, :]) <= 1
-    W[near] = adjacent_cell_weight(h, sp)
+        np.power(W, -(1.0 + sp), out=W)
+    np.multiply(h * h, W, out=W)
+    near = adjacent_cell_weight(h, sp)
+    for band in (W, W[1:], W[:, 1:]):
+        np.fill_diagonal(band, near)
     tail = ((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp
     return Kernel(s=s, p=p, sp=sp, n=grid.n, cell_weight=h, W=W, tail=tail)
 
@@ -123,35 +139,9 @@ def phi_p(s, p: float):
     return float(out) if np.isscalar(s) else out
 
 
-def _second_thread(n: int) -> ThreadPoolExecutor | None:
-    """The worker thread that shares the work on an n-row table.
-
-    None below _PARALLEL_ROWS rows or when the process may run on one CPU
-    only; the thread is made on first use.
-    """
-    global _worker
-    if n < _PARALLEL_ROWS:
-        return None
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            _worker = (ThreadPoolExecutor(1, thread_name_prefix="fracmp-pairs")
-                       if cpus > 1 else False)
-        return _worker or None
-
-
-def _forget_worker() -> None:
-    # a forked child has no copy of the worker thread: make a new one
-    global _worker, _worker_lock
-    _worker = None
-    _worker_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+def _threads(n: int) -> int:
+    """How many threads share the row blocks of an n-row table."""
+    return 2 if n >= _PARALLEL_ROWS and _CPUS > 1 else 1
 
 
 def _take(todo: deque):
@@ -163,24 +153,29 @@ def _take(todo: deque):
             return
 
 
-def _on_two_threads(worker: ThreadPoolExecutor | None, n: int, work,
-                    here, there) -> None:
-    """Call work(starts, here) over the row-block starts of an n-row table.
+def _run_blocks(n: int, work, scratch: list) -> None:
+    """Call work(starts, scratch[k]) on thread k over an n-row table's blocks.
 
-    With a worker, work(starts, there) runs on it at the same time and the
-    two calls share the starts: each thread takes the next block when it
-    finishes one, so a worker that starts late, or is descheduled, only
-    takes fewer blocks.  Returns when every block is done.
+    With two scratch entries the pool's thread runs beside the calling
+    thread; both pop the next row-block start from one deque when they
+    finish a block, so a pool thread that starts late, or is descheduled,
+    only takes fewer blocks.  While tracemalloc is tracing, the calling
+    thread takes every block: the peak it reports would otherwise depend
+    on how the two threads' transient numpy buffers overlap, and the
+    arrays allocated are the same either way.
     """
-    starts = range(0, n, _PAIR_BLOCK)
-    if worker is None:
-        work(starts, here)
+    if len(scratch) == 1 or tracemalloc.is_tracing():
+        work(range(0, n, _PAIR_BLOCK), scratch[0])
         return
-    todo = deque(starts)
-    part = worker.submit(work, _take(todo), there)
-    work(_take(todo), here)
-    if not part.cancel():
-        part.result()
+    todo = deque(range(0, n, _PAIR_BLOCK))
+    # run in the caller's context, so the caller's np.errstate holds there
+    ctx = contextvars.copy_context()
+    part = _pool.submit(ctx.run, work, _take(todo), scratch[1])
+    try:
+        work(_take(todo), scratch[0])
+    finally:
+        if not part.cancel():
+            part.result()
 
 
 def _pair_table(v: np.ndarray, e: float, odd: bool) -> np.ndarray:
@@ -191,12 +186,13 @@ def _pair_table(v: np.ndarray, e: float, odd: bool) -> np.ndarray:
     v_j - v_i = -(v_i - v_j) exactly, so every entry is the float the full
     elementwise formula gives (0.0 - x keeps zero entries at +0.0).  The
     odd map at e = 1 is the plain difference, with no power to save: a
-    block fills its whole rows instead.
+    block fills its whole rows instead, or on one thread one numpy call
+    the table.
     """
     n = v.size
     plain = odd and e == 1.0
-    worker = _second_thread(n)
-    if plain and worker is None:
+    threads = _threads(n)
+    if plain and threads == 1:
         return v[:, None] - v[None, :]
     M = np.empty((n, n))
 
@@ -218,23 +214,24 @@ def _pair_table(v: np.ndarray, e: float, odd: bool) -> np.ndarray:
             else:
                 M[r1:, r0:r1] = blk[:, r1 - r0:].T
 
-    # the odd map's sign scratch, one per thread, so the worker allocates
-    # no array data
-    sign = np.empty((min(_PAIR_BLOCK, n), n)) if odd and not plain else None
-    _on_two_threads(worker, n, fill, sign,
-                    None if sign is None or worker is None else np.empty_like(sign))
+    # the odd map's sign scratch, one per thread, so the second thread
+    # allocates no array data
+    shape = (min(_PAIR_BLOCK, n), n)
+    _run_blocks(n, fill, [np.empty(shape) if odd and not plain else None
+                          for _ in range(threads)])
     return M
 
 
 def _weigh(M: np.ndarray, W: np.ndarray, row_sums: bool) -> np.ndarray | None:
     """M *= W in place, and M.sum(axis=1) if asked.
 
-    On two threads, a block of rows at a time: a row's sum reads that row
-    only, so it is the same float however the rows are grouped.
+    On two threads a block of rows at a time: a row's sum reads that row
+    only, so it is the same float however the rows are grouped.  On one
+    thread one numpy call each: a block loop costs a few microseconds a
+    call, which shows on small tables.
     """
     n = M.shape[0]
-    worker = _second_thread(n)
-    if worker is None:
+    if _threads(n) == 1:
         np.multiply(W, M, out=M)
         return M.sum(axis=1) if row_sums else None
     out = np.empty(n) if row_sums else None
@@ -246,7 +243,7 @@ def _weigh(M: np.ndarray, W: np.ndarray, row_sums: bool) -> np.ndarray | None:
             if row_sums:
                 rows.sum(axis=1, out=out[r0:r0 + _PAIR_BLOCK])
 
-    _on_two_threads(worker, n, weigh, None, None)
+    _run_blocks(n, weigh, [None, None])
     return out
 
 
@@ -288,8 +285,9 @@ def quadratic_form_matrix(K: Kernel) -> np.ndarray:
     """
     if K.p != 2.0:
         raise UsageError("quadratic form exists only at p = 2, kernel has p=%g" % K.p)
-    W0 = K.W.copy()
-    np.fill_diagonal(W0, 0.0)
-    G = 2.0 * (np.diag(W0.sum(axis=1)) - W0)
-    G[np.diag_indices(K.n)] += 2.0 * K.cell_weight * K.tail
+    # -2 W off the diagonal; doubling and negation are exact, so the row
+    # sums of this G are -2 times those of W with a zero diagonal
+    G = np.multiply(K.W, -2.0)
+    np.fill_diagonal(G, 0.0)
+    np.fill_diagonal(G, 2.0 * K.cell_weight * K.tail - G.sum(axis=1))
     return G

@@ -12,7 +12,8 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -311,10 +312,9 @@ def test_pair_table_matches_full_formula_bit_for_bit():
 
 @pytest.fixture
 def two_threads(monkeypatch):
-    """A second thread for the pair table, also on a one-CPU host."""
-    with ThreadPoolExecutor(1) as pool:
-        monkeypatch.setattr(kernel, "_worker", pool)
-        yield pool
+    """Two threads for the pair tables from _PARALLEL_ROWS rows on, also on
+    a one-CPU host."""
+    monkeypatch.setattr(kernel, "_CPUS", 2)
 
 
 def test_blocked_pair_table_matches_full_formula(two_threads):
@@ -327,7 +327,7 @@ def test_blocked_pair_table_matches_full_formula(two_threads):
 
 
 def test_concurrent_callers_get_the_serial_bytes(two_threads):
-    # more calling threads than cores share the one worker thread
+    # more calling threads than cores share the one pool thread
     n = _PARALLEL_ROWS + 1
     kernels = [_kernel(n, p) for p in (1.5, 2.0, 2.5)]
     inputs = [_draw_u(n, seed, seed % 2 * 3, 1.3) for seed in range(4)]
@@ -361,16 +361,17 @@ def test_concurrent_callers_get_the_serial_bytes(two_threads):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_builds_its_own_second_thread(two_threads):
-    # the child has no copy of the parent's worker thread: the parent's
-    # executor would queue the child's work forever, never running it
+    # the child has no copy of the parent's pool thread: the parent's pool
+    # would queue the child's work forever
     n = _PARALLEL_ROWS + 1
     K = _kernel(n, 2.5)
     u = _draw_u(n, 3, 0, 1.0)
     want = np.float64(seminorm_p(u, K)).tobytes()
+    parent_pool = kernel._pool
     pid = os.fork()
     if pid == 0:
         same = np.float64(seminorm_p(u, K)).tobytes() == want
-        os._exit(0 if same and kernel._worker is not two_threads else 3)
+        os._exit(0 if same and kernel._pool is not parent_pool else 3)
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
         done, status = os.waitpid(pid, os.WNOHANG)
@@ -382,3 +383,40 @@ def test_forked_child_builds_its_own_second_thread(two_threads):
         os.waitpid(pid, 0)
         pytest.fail("forked child hung in seminorm_p")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_traced_calls_stay_on_one_thread(two_threads, monkeypatch):
+    # tracemalloc's peak would depend on how the two threads' transient
+    # numpy buffers overlap: a traced call takes every block itself, and
+    # its peak repeats exactly
+    n = _PARALLEL_ROWS + 1
+    K = _kernel(n, 2.5)
+    u = _draw_u(n, 2, 0, 1.0)
+    want = (seminorm_p(u, K), apply_flap(u, K).tobytes())
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a traced call used the second thread")
+
+    monkeypatch.setattr(kernel._pool, "submit", no_thread)
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            got = (seminorm_p(u, K), apply_flap(u, K).tobytes())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert got == want
+    assert len(set(peaks)) == 1
+
+
+def test_second_thread_keeps_the_callers_errstate(two_threads):
+    # every block overflows; the caller's errstate silences it on both threads
+    n = _PARALLEL_ROWS + 1
+    K = _kernel(n, 2.5)
+    u = np.linspace(-1e160, 1e160, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            for _ in range(5):
+                assert seminorm_p(u, K) == np.inf

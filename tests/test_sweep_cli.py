@@ -229,13 +229,15 @@ def test_cli_solve_bad_ref_exits_2(tmp_path, capsys, monkeypatch):
     assert "different grid" in capsys.readouterr().err
 
 
-def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch):
-    # rejected while the config is read, before any grid or table exists
+@pytest.mark.parametrize("n", [1000000, 14000])
+def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch, n):
+    # rejected while the config is read, before any grid or table exists;
+    # at p = 2 the limit counts check's three n x n tables (n <= 13377)
     monkeypatch.setattr("fracmp.cli._assemble", None)
-    path = _write(tmp_path, SMALL.replace("n = 32", "n = 1000000"))
+    path = _write(tmp_path, SMALL.replace("n = 32", "n = %d" % n))
     assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "n = 1000000 needs" in err and "GiB" in err
+    assert "n = %d needs" % n in err and "3 n x n tables" in err and "GiB" in err
 
 
 def test_cli_eigen_writes_report(tmp_path, capsys):

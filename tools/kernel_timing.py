@@ -4,8 +4,8 @@ usage: PYTHONPATH=src python tools/kernel_timing.py [--repeats R] [--sizes N,N,.
 
 Prints, for p = 2 and p = 2.5 and each n, the median time in microseconds
 of seminorm_p and apply_flap on a fixed random vector, with the work on
-the pair table shared with the worker thread ("2 thr") and done on the
-calling thread alone ("1 thr"), whatever the size threshold in
+the pair table shared with the kernel's second thread ("2 thr") and done
+on the calling thread alone ("1 thr"), whatever the size threshold in
 fracmp.kernel says.  Each median is over R rounds that alternate the two
 paths; a round times a loop long enough to take about 20 ms.  This is how
 the threshold _PARALLEL_ROWS is chosen and checked.  On a host with one
