@@ -163,19 +163,34 @@ def _run_blocks(n: int, work, scratch: list) -> None:
     thread takes every block: the peak it reports would otherwise depend
     on how the two threads' transient numpy buffers overlap, and the
     arrays allocated are the same either way.
+
+    The pool's part gets work (whose closure holds the table) through a
+    list that is empty when this returns.  A work item the pool still
+    queues after its cancel, or still holds after its run, would otherwise
+    keep the table alive into the next call, and whether two tables were
+    resident at once, and so the process's peak memory, would depend on
+    when the pool's thread woke.
     """
     if len(scratch) == 1 or tracemalloc.is_tracing():
         work(range(0, n, _PAIR_BLOCK), scratch[0])
         return
     todo = deque(range(0, n, _PAIR_BLOCK))
+    args = [work, _take(todo), scratch[1]]
     # run in the caller's context, so the caller's np.errstate holds there
-    ctx = contextvars.copy_context()
-    part = _pool.submit(ctx.run, work, _take(todo), scratch[1])
+    part = _pool.submit(contextvars.copy_context().run, _run_taken, args)
     try:
         work(_take(todo), scratch[0])
     finally:
         if not part.cancel():
             part.result()
+        args.clear()
+
+
+def _run_taken(args: list) -> None:
+    """work(starts, scratch) from args, emptied before the work starts."""
+    work, starts, scratch = args
+    args.clear()
+    work(starts, scratch)
 
 
 def _pair_table(v: np.ndarray, e: float, odd: bool) -> np.ndarray:

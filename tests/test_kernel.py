@@ -14,6 +14,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -408,6 +409,29 @@ def test_traced_calls_stay_on_one_thread(two_threads, monkeypatch):
             tracemalloc.stop()
         assert got == want
     assert len(set(peaks)) == 1
+
+
+def test_no_table_outlives_its_call(two_threads):
+    # the pool's thread is busy, so the caller takes every block and the
+    # pool's part is cancelled while queued: the queued work item must not
+    # keep the table alive into the next call (two tables resident at once)
+    release = threading.Event()
+    busy = kernel._pool.submit(release.wait, 30)
+    try:
+        table = np.zeros(_PARALLEL_ROWS)
+        gone = weakref.ref(table)
+
+        def work(starts, _, table=table):
+            for r0 in starts:
+                table[r0] = 1.0
+
+        kernel._run_blocks(_PARALLEL_ROWS, work, [None, None])
+        assert table[::_PAIR_BLOCK].all()
+        del work, table
+        assert gone() is None
+    finally:
+        release.set()
+        busy.result(timeout=30)
 
 
 def test_second_thread_keeps_the_callers_errstate(two_threads):
