@@ -8,9 +8,11 @@ solver or hypothesis failure, 2 configuration or usage problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from . import __version__
 from .config import (
     Config,
     lambdas,
-    load_potential,
     parse_config,
     validate_config,
     with_overrides,
@@ -27,40 +28,30 @@ from .eigen import first_eigenpair, inverse_power_lambda1, torsion_solve
 from .errors import (
     ConfigurationError,
     ExportError,
-    FracmpError,
     HypothesisError,
     SolverError,
     UsageError,
 )
-from .grid import build_grid, norms, read_gridfn, write_gridfn
-from .kernel import apply_flap, assemble_kernel, norm_W, seminorm_p
-from .model import (
-    energy,
-    gradient,
-    make_nonlinearity,
-    make_problem,
-    residual_norm,
-)
+from .grid import read_gridfn, write_gridfn
+from .kernel import apply_flap, norm_W, seminorm_p
+from .model import energy, gradient, residual_norm
 from .solve import (
-    certify_constants,
     classify,
     comparison_check,
     construct_endpoints,
     distinct,
-    find_second_solution,
-    mountain_pass,
     positivity_check,
     ring_samples,
 )
-from .sweep import CSV_HEADER, derive_seed, export, sweep
-
-
-def _assemble(cfg: Config):
-    grid = build_grid(cfg.a, cfg.b, cfg.n)
-    kern = assemble_kernel(grid, cfg.s, cfg.p)
-    V = load_potential(cfg, grid)
-    nl = make_nonlinearity(cfg.q, cfg.f0, cfg.p, cfg.s, theta=cfg.theta)
-    return grid, kern, V, nl
+from .sweep import (
+    assemble,
+    certify,
+    derive_seed,
+    export,
+    first_solution,
+    solve_lambda,
+    sweep,
+)
 
 
 def _single_lambda(cfg: Config) -> float:
@@ -103,7 +94,7 @@ def cmd_eigen(cfg: Config) -> int:
     validate_config(cfg)
     phi_path = _out_path(cfg, "phi1.txt")
     report_path = _out_path(cfg, "eigen_report.json")
-    grid, kern, V, _ = _assemble(cfg)
+    grid, kern, V, _ = assemble(cfg)
     eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
     validate_config(cfg, eig.lambda1, V)
     report = {
@@ -121,7 +112,7 @@ def cmd_torsion(cfg: Config) -> int:
     validate_config(cfg)
     u_path = _out_path(cfg, "torsion_u.txt")
     report_path = _out_path(cfg, "torsion_report.json")
-    grid, kern, V, _ = _assemble(cfg)
+    grid, kern, V, _ = assemble(cfg)
     lam1 = None
     if V.cV > 0.0:
         lam1 = first_eigenpair(kern, grid, cfg.eigen_tol,
@@ -141,40 +132,21 @@ def cmd_torsion(cfg: Config) -> int:
     return 0
 
 
-def _constants_dict(consts) -> dict:
-    return {
-        "lambda1": consts.lambda1,
-        "A1": consts.A1, "C1": consts.C1, "B1": consts.B1,
-        "sobolev": consts.sobolev, "tau": consts.tau, "c": consts.c,
-        "lam_hat1": consts.lam_hat1, "lam_hat2": consts.lam_hat2,
-        "lam3": consts.lam3,
-    }
-
-
 def cmd_solve(cfg: Config, ref_path: str | None) -> int:
     validate_config(cfg)
     lam = _single_lambda(cfg)
     mp_path = _out_path(cfg, "solution_mp.txt")
     second_path = _out_path(cfg, "solution_second.txt")
     report_path = _out_path(cfg, "solve_report.json")
-    grid, kern, V, nl = _assemble(cfg)
+    parts = assemble(cfg)
+    grid, kern = parts[:2]
     ref = None
     if ref_path is not None:
         ref, meta = read_gridfn(ref_path)
         if meta["n"] != grid.n or meta["a"] != grid.a or meta["b"] != grid.b:
             raise UsageError("reference solution %s is on a different grid" % ref_path)
-    eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
-    validate_config(cfg, eig.lambda1, V)
-    prob = make_problem(grid, kern, V, lam, nl)
-    consts = certify_constants(prob, eig.phi1, seed=cfg.seed)
-    e0, e1, _, _ = construct_endpoints(prob, eig.phi1, consts)
-    seed_mp = derive_seed(cfg.seed, 0)
-    cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
-                       seed=seed_mp, constants=consts,
-                       **({} if cfg.mp_iter_cap is None
-                          else {"max_outer": cfg.mp_iter_cap}))
-    second = find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
-                                  seed=seed_mp + 1, max_iter=cfg.solve_iter_cap)
+    eig, prob, consts = certify(cfg, parts, lam)
+    cp, second = solve_lambda(cfg, prob, eig.phi1, consts)
     all_pos, min_val, _ = positivity_check(cp, grid, cfg.s)
     report = {
         "lambda": lam,
@@ -187,7 +159,7 @@ def cmd_solve(cfg: Config, ref_path: str | None) -> int:
         "min_value": min_val,
         "norm_W": norm_W(cp.u, kern),
         "norm_inf": float(np.max(np.abs(cp.u))),
-        "constants": _constants_dict(consts),
+        "constants": {**asdict(consts), "lam3": consts.lam3},
         "solution_file": _write_solution(cp.u, grid, mp_path),
     }
     if second is not None:
@@ -252,7 +224,7 @@ def cmd_verify(cfg: Config) -> int:
         print("ok   %s%s" % (name, " (%s)" % detail if detail else ""))
 
     validate_config(cfg)
-    grid, kern, V, nl = _assemble(cfg)
+    grid, kern, V, nl = assemble(cfg)
     lam = float(np.min(lambdas(cfg)))
     rng = np.random.default_rng(cfg.seed)
 
@@ -278,9 +250,7 @@ def cmd_verify(cfg: Config) -> int:
 
     check("gradient pairing identity", chk_pairing)
 
-    eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
-    validate_config(cfg, eig.lambda1, V)
-    prob = make_problem(grid, kern, V, lam, nl)
+    eig, prob, consts = certify(cfg, (grid, kern, V, nl), lam)
 
     def chk_fd():
         tol = 1e-5 if cfg.p == 2.0 else 1e-3
@@ -315,16 +285,19 @@ def cmd_verify(cfg: Config) -> int:
 
     check("first eigenpair", chk_eigen)
 
+    @functools.cache
+    def torsion():
+        # one solve for two checks; a failure is not cached, so both report it
+        return torsion_solve(kern, grid, V, cfg.solve_tol,
+                             max_iter=cfg.torsion_iter_cap, lambda1=eig.lambda1)
+
     def chk_torsion():
-        tor = torsion_solve(kern, grid, V, cfg.solve_tol,
-                            max_iter=cfg.torsion_iter_cap, lambda1=eig.lambda1)
+        tor = torsion()
         if not tor.positive:
             raise AssertionError("torsion solution not positive")
         return "min=%.3g" % float(np.min(tor.u))
 
     check("torsion positivity", chk_torsion)
-
-    consts = certify_constants(prob, eig.phi1, seed=cfg.seed)
 
     def chk_ring():
         if lam >= consts.lam_hat2:
@@ -347,9 +320,7 @@ def cmd_verify(cfg: Config) -> int:
     check("endpoint energy", chk_endpoint)
 
     def chk_mp():
-        e0, e1, _, _ = construct_endpoints(prob, eig.phi1, consts)
-        cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
-                           seed=derive_seed(cfg.seed, 0), constants=consts)
+        cp, _ = first_solution(cfg, prob, eig.phi1, consts)
         if cp.residual > cfg.mp_tol:
             raise AssertionError("residual %g" % cp.residual)
         lv = np.asarray(cp.trace)
@@ -368,8 +339,7 @@ def cmd_verify(cfg: Config) -> int:
     def chk_comparison():
         if cfg.p != 2.0 or np.any(V.values < 0.0):
             return "skipped: needs p=2 and V >= 0"
-        tor = torsion_solve(kern, grid, V, cfg.solve_tol,
-                            max_iter=cfg.torsion_iter_cap, lambda1=eig.lambda1)
+        tor = torsion()
         rep = comparison_check(0.5 * tor.u, tor.u, prob)
         if not rep:
             raise AssertionError("0.5*v vs v not confirmed: %r" % (rep,))

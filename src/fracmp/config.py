@@ -33,7 +33,7 @@ _ATTR = {"lambda": "lam", "format": "fmt"}
 _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
 # Largest dense storage a config may ask for.  A command holds at most the
 # n x n weight table and one n x n pair table at once, 16 n^2 bytes; at
-# p = 2, check's linear-solver cross-check holds W, the quadratic form's
+# p = 2, verify's linear-solver cross-check holds W, the quadratic form's
 # matrix and its Cholesky factor, 24 n^2 bytes.  So n goes up to 16384, or
 # 13377 at p = 2.
 MAX_TABLE_BYTES = 4 * 2 ** 30

@@ -1,14 +1,14 @@
 """First eigenpair by Rayleigh-quotient minimization, and the torsion problem.
 
-Both solvers are monotone projected/plain descent loops with a
-Barzilai-Borwein trial step and backtracking: every accepted step lowers
-the objective (up to a machine-epsilon slack; near convergence the true
-decrement drops below one ulp of the objective while the gradient still
-has room to shrink), so the recorded traces are non-increasing to
-floating-point resolution.  The eigen iteration projects onto
-nonnegativity (|u| can only lower the quotient, the kernel weights being
-nonnegative) and renormalizes on the unit sphere of the solution-space
-norm.
+Both solvers run the monotone Barzilai-Borwein descent with backtracking
+of ``_descent.bb_descent``, each with its own trial step: every accepted
+step lowers the objective (up to a machine-epsilon slack; near
+convergence the true decrement drops below one ulp of the objective
+while the gradient still has room to shrink), so the recorded traces are
+non-increasing to floating-point resolution.  The eigen iteration
+projects onto nonnegativity (|u| can only lower the quotient, the kernel
+weights being nonnegative) and renormalizes on the unit sphere of the
+solution-space norm.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._descent import _STALL_WINDOW, _slack, bb_alpha
+from ._descent import bb_descent
 from .errors import PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
 from .kernel import Kernel, apply_flap, phi_p, quadratic_form_matrix, seminorm_p
@@ -62,13 +62,6 @@ def rayleigh(u, K: Kernel, grid: Grid) -> float:
     return seminorm_p(v, K) / mass
 
 
-def _normalized(v: np.ndarray, K: Kernel) -> tuple[np.ndarray, float]:
-    S = seminorm_p(v, K)
-    if S == 0.0:
-        raise UsageError("cannot normalize the zero function")
-    return v / S ** (1.0 / K.p), S
-
-
 def first_eigenpair(K: Kernel, grid: Grid, tol: float,
                     max_iter: int | None = None) -> EigenResult:
     """Minimize the Rayleigh quotient by projected descent from the hat profile.
@@ -82,57 +75,26 @@ def first_eigenpair(K: Kernel, grid: Grid, tol: float,
     cap = EIGEN_CAP_PER_NODE * K.n if max_iter is None else int(max_iter)
     p = K.p
     h = grid.h
-    sqrt_h = np.sqrt(h)
-
-    u, _ = _normalized(np.abs(grid.d.copy()), K)
+    hat = np.abs(grid.d.copy())
+    u = hat / seminorm_p(hat, K) ** (1.0 / p)
     mass = h * float(np.sum(u ** p))
-    R = 1.0 / mass  # S(u) = 1 after normalization
-    trace = [R]
-    du = None
-    alpha = None
-    it = 0
-    residual = np.inf
-    best_residual = np.inf
-    best_it = 0
-    g_prev = None
-    while it < cap:
-        defect = apply_flap(u, K) / p - R * h * phi_p(u, p)
-        residual = float(np.linalg.norm(defect) / sqrt_h)
-        if residual <= tol:
-            break
-        if residual < 0.99 * best_residual:
-            best_residual = residual
-            best_it = it
-        elif it - best_it > _STALL_WINDOW:
-            break
-        g = defect  # parallel to the sphere gradient of R; scale folded into alpha
-        if g_prev is not None:
-            alpha = bb_alpha(du, g - g_prev, 2.0 * alpha)
-        else:
-            alpha = 0.1 / max(float(np.linalg.norm(g)), 1e-30)
-        accepted = False
-        for _ in range(60):
-            v = np.abs(u - alpha * g)
-            S = seminorm_p(v, K)
-            if S > 0.0:
-                v = v / S ** (1.0 / p)
-                mass_v = h * float(np.sum(v ** p))
-                R_v = 1.0 / mass_v
-                if R_v <= R + _slack(R):
-                    accepted = True
-                    break
-            alpha *= 0.5
-        it += 1
-        if not accepted:
-            # no step of any size moves the quotient: flat to machine precision
-            break
-        du = v - u
-        g_prev = g
-        u = v
-        R = R_v
-        trace.append(R)
+
+    def defect(u, R):
+        # parallel to the sphere gradient of R; scale folded into the step
+        return apply_flap(u, K) / p - R * h * phi_p(u, p)
+
+    def trial(u, alpha, g):
+        v = np.abs(u - alpha * g)
+        S = seminorm_p(v, K)
+        if not S > 0.0:
+            return v, np.inf
+        v = v / S ** (1.0 / p)
+        return v, 1.0 / (h * float(np.sum(v ** p)))
+
+    # S(u) = 1 after normalization
+    u, R, residual, it, trace = bb_descent(u, 1.0 / mass, defect, trial, tol, cap, h)
     result = EigenResult(lambda1=float(R), phi1=u, residual=residual,
-                         iterations=it, trace=np.asarray(trace))
+                         iterations=it, trace=trace)
     if residual > tol:
         raise SolverError("eigen solver stalled at residual %g > tol %g" % (residual, tol),
                           last=result, iterations=it, residual=residual)
@@ -198,58 +160,22 @@ def torsion_solve(K: Kernel, grid: Grid, V: Potential, tol: float,
             "c_V = %g >= lambda1 = %g: potential gate failed" % (V.cV, lambda1)
         )
     cap = TORSION_CAP_PER_NODE * K.n if max_iter is None else int(max_iter)
-    h = grid.h
-    sqrt_h = np.sqrt(h)
-
     # start on the hat ray at the best of a coarse log scan of t -> E(t*hat)
     hat = grid.d / np.max(grid.d)
     scales = np.geomspace(1e-3, 1e3, 25)
     vals = [torsion_energy(t * hat, K, grid, V, rhs) for t in scales]
     best = int(np.argmin(vals))
-    u = scales[best] * hat
-    E = vals[best]
-    trace = [E]
-    g_prev = None
-    du = None
-    alpha = None
-    it = 0
-    residual = np.inf
-    best_residual = np.inf
-    best_it = 0
-    while it < cap:
-        g = torsion_gradient(u, K, grid, V, rhs)
-        residual = float(np.linalg.norm(g) / sqrt_h)
-        if residual <= tol:
-            break
-        if residual < 0.99 * best_residual:
-            best_residual = residual
-            best_it = it
-        elif it - best_it > _STALL_WINDOW:
-            break
-        if g_prev is not None:
-            alpha = bb_alpha(du, g - g_prev, 2.0 * alpha)
-        else:
-            alpha = 0.1 / max(float(np.linalg.norm(g)), 1e-30)
-        accepted = False
-        for _ in range(60):
-            v = u - alpha * g
-            E_v = torsion_energy(v, K, grid, V, rhs)
-            if E_v <= E + _slack(E):
-                accepted = True
-                break
-            alpha *= 0.5
-        it += 1
-        if not accepted:
-            break
-        du = v - u
-        g_prev = g
-        u = v
-        E = E_v
-        trace.append(E)
+
+    def trial(u, alpha, g):
+        v = u - alpha * g
+        return v, torsion_energy(v, K, grid, V, rhs)
+
+    u, E, residual, it, trace = bb_descent(
+        scales[best] * hat, vals[best],
+        lambda u, _: torsion_gradient(u, K, grid, V, rhs), trial, tol, cap, grid.h)
     positive = bool(np.min(u) > 0.0)
     result = TorsionResult(u=u, value=float(E), residual=residual,
-                           iterations=it, positive=positive,
-                           trace=np.asarray(trace))
+                           iterations=it, positive=positive, trace=trace)
     if residual > tol:
         raise SolverError("torsion solver stalled at residual %g > tol %g" % (residual, tol),
                           last=result, iterations=it, residual=residual)

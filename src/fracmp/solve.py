@@ -18,12 +18,12 @@ fixed point of the flow.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 
-from ._descent import _STALL_WINDOW, _slack, bb_alpha
+from ._descent import _slack, bb_descent
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
 from .kernel import Kernel, apply_flap, norm_W, phi_p, seminorm_p
@@ -32,6 +32,7 @@ from .model import Problem, energy, f_eval, gradient, primitive_envelope, residu
 log = logging.getLogger(__name__)
 
 DESCENT_CAP_PER_NODE = 200
+MP_OUTER_CAP = 2000
 DISTINCT_REL = 1e-3
 _DIVERGE_VALUE = -1e14
 _DIVERGE_SUP = 1e12
@@ -198,68 +199,32 @@ def descend(u0, prob: Problem, tol: float, max_iter: int | None = None,
         raise UsageError("tolerance must be positive, got %g" % tol)
     n = prob.grid.n
     cap = DESCENT_CAP_PER_NODE * n if max_iter is None else int(max_iter)
-    sqrt_h = np.sqrt(prob.h)
     u = as_grid_function(u0, n).copy()
-    E = energy(u, prob)
-    trace = [E]
-    g_prev = None
-    du = None
-    alpha = None
-    it = 0
-    residual = np.inf
-    best_residual = np.inf
-    best_it = 0
 
-    def _result(tag: str) -> CriticalPoint:
+    def point(u, E, residual, it, trace) -> CriticalPoint:
         return CriticalPoint(u=u, value=float(E), residual=float(residual),
-                             tag=tag, iterations=it, trace=np.asarray(trace))
+                             tag="unknown", iterations=it, trace=np.asarray(trace))
 
-    while it < cap:
-        g = gradient(u, prob)
-        residual = float(np.linalg.norm(g) / sqrt_h)
-        if residual <= tol:
-            break
-        if residual < 0.99 * best_residual:
-            best_residual = residual
-            best_it = it
-        elif it - best_it > _STALL_WINDOW:
-            break
-        if g_prev is not None:
-            alpha = bb_alpha(du, g - g_prev, 2.0 * alpha)
-        else:
-            alpha = 0.1 / max(float(np.linalg.norm(g)), 1e-30)
-        accepted = False
-        for _ in range(60):
-            v = u - alpha * g
-            E_v = energy(v, prob)
-            if E_v <= E + _slack(E):
-                accepted = True
-                break
-            alpha *= 0.5
-        it += 1
-        if not accepted:
-            break
-        du = v - u
-        g_prev = g
-        u = v
-        E = E_v
-        trace.append(E)
+    def trial(u, alpha, g):
+        v = u - alpha * g
+        return v, energy(v, prob)
+
+    def diverged(u, E, residual, it, trace):
         if E < _DIVERGE_VALUE or np.max(np.abs(u)) > _DIVERGE_SUP:
             raise SolverError("descent diverged (energy unbounded below)",
-                              last=_result("unknown"), iterations=it,
+                              last=point(u, E, residual, it, trace), iterations=it,
                               residual=residual)
-    if residual > tol:
-        raise SolverError("descent stalled at residual %g > tol %g" % (residual, tol),
-                          last=_result("unknown"), iterations=it, residual=residual)
-    cp = _result("unknown")
+
+    cp = point(*bb_descent(u, energy(u, prob), lambda u, _: gradient(u, prob), trial,
+                           tol, cap, prob.h, check=diverged))
+    if cp.residual > tol:
+        raise SolverError("descent stalled at residual %g > tol %g" % (cp.residual, tol),
+                          last=cp, iterations=cp.iterations, residual=cp.residual)
     if do_classify:
-        scale = norm_W(u, prob.kernel) if np.any(u) else 0.0
+        scale = norm_W(cp.u, prob.kernel) if np.any(cp.u) else 0.0
         radius = rho if rho is not None else max(1e-3, 1e-2 * scale)
-        tag = classify(cp, prob, radius, probes, seed=seed)
-        if tag == "local-min":
-            cp = CriticalPoint(u=cp.u, value=cp.value, residual=cp.residual,
-                               tag="local-min", iterations=cp.iterations,
-                               trace=cp.trace)
+        if classify(cp, prob, radius, probes, seed=seed) == "local-min":
+            cp = replace(cp, tag="local-min")
     return cp
 
 
@@ -437,10 +402,14 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
 
 
 def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
-                  seed: int = 0, max_outer: int = 2000,
+                  seed: int = 0, max_outer: int | None = None,
                   polish_cap: int = 40000,
                   constants: ScalingConstants | None = None) -> CriticalPoint:
-    """Elastic-path min-max search between e0 and e1, then saddle polish."""
+    """Elastic-path min-max search between e0 and e1, then saddle polish.
+
+    max_outer caps the path-descent iterations; None means the default,
+    MP_OUTER_CAP = 2000.
+    """
     if P < 8:
         raise UsageError("path needs at least 8 segments, got P=%d" % P)
     n = prob.grid.n
@@ -479,7 +448,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
     stall = 0
     res_max = np.inf
     outer = 0
-    for outer in range(max_outer):
+    for outer in range(MP_OUTER_CAP if max_outer is None else int(max_outer)):
         G = np.array([gradient(path[k], prob) for k in range(1, P)])
         evals += P - 1
         kmax = int(np.argmax(Jf[0::2]))

@@ -2,8 +2,9 @@
 
 One sweep solves the eigenproblem once, certifies the threshold constants
 once, then runs the mountain-pass search and the second-solution scan at
-every lambda of a geometric grid, recording norms, the energy value and
-window flags per lambda.  Scaling exponents are recovered by ordinary
+every lambda of a geometric grid (``solve_lambda``, which ``fracmp solve``
+runs at its one lambda), recording norms, the energy value and window
+flags per lambda.  Scaling exponents are recovered by ordinary
 least squares on the log-log data.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .eigen import first_eigenpair
 from .errors import ConfigurationError, ExportError, FracmpError, UsageError
 from .grid import build_grid
 from .kernel import assemble_kernel, norm_W
-from .model import make_nonlinearity, make_problem
+from .model import Problem, make_nonlinearity, make_problem
 from .solve import (
     CriticalPoint,
     ScalingConstants,
@@ -116,6 +117,47 @@ def _slope_or_nan(pairs) -> tuple[float, float]:
         return float("nan"), float("nan")
 
 
+def assemble(cfg: Config):
+    """The grid, kernel, potential and nonlinearity a config describes."""
+    grid = build_grid(cfg.a, cfg.b, cfg.n)
+    kern = assemble_kernel(grid, cfg.s, cfg.p)
+    V = load_potential(cfg, grid)
+    nl = make_nonlinearity(cfg.q, cfg.f0, cfg.p, cfg.s, theta=cfg.theta)
+    return grid, kern, V, nl
+
+
+def certify(cfg: Config, parts, lam: float):
+    """Eigenpair, potential gate, and the constants (which do not read lam).
+
+    parts is assemble(cfg); returns (eigenpair, problem at lam, constants).
+    """
+    grid, kern, V, nl = parts
+    eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
+    validate_config(cfg, eig.lambda1, V)
+    prob = make_problem(grid, kern, V, lam, nl)
+    return eig, prob, certify_constants(prob, eig.phi1, seed=cfg.seed)
+
+
+def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants,
+                   index: int = 0) -> tuple[CriticalPoint, np.ndarray]:
+    """Mountain pass at the index-th lambda of cfg: (critical point, e1)."""
+    e0, e1, _, _ = construct_endpoints(prob, phi1, consts)
+    cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
+                       seed=derive_seed(cfg.seed, index), max_outer=cfg.mp_iter_cap,
+                       constants=consts)
+    return cp, e1
+
+
+def solve_lambda(cfg: Config, prob: Problem, phi1, consts: ScalingConstants,
+                 index: int = 0) -> tuple[CriticalPoint, CriticalPoint | None]:
+    """Mountain pass, then the second-solution search: (first, second or None)."""
+    cp, e1 = first_solution(cfg, prob, phi1, consts, index)
+    second = find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
+                                  seed=derive_seed(cfg.seed, index) + 1,
+                                  max_iter=cfg.solve_iter_cap)
+    return cp, second
+
+
 def sweep(cfg: Config, progress=None) -> SweepResult:
     """Run the full lambda sweep described by a validated config."""
     lams = lambdas(cfg)
@@ -124,32 +166,19 @@ def sweep(cfg: Config, progress=None) -> SweepResult:
     span = float(np.max(lams) / np.min(lams))
     if span < 10.0:
         raise UsageError("sweep lambda grid must span >= 1 decade, got %.3g" % span)
-    grid = build_grid(cfg.a, cfg.b, cfg.n)
-    kern = assemble_kernel(grid, cfg.s, cfg.p)
-    V = load_potential(cfg, grid)
-    nl = make_nonlinearity(cfg.q, cfg.f0, cfg.p, cfg.s, theta=cfg.theta)
-    eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
-    validate_config(cfg, eig.lambda1, V)
-    consts = certify_constants(
-        make_problem(grid, kern, V, float(lams[0]), nl), eig.phi1, seed=cfg.seed)
+    parts = assemble(cfg)
+    grid, kern, V, nl = parts
+    eig, _, consts = certify(cfg, parts, float(lams[0]))
 
     records: list[SweepRecord] = []
     solutions: list[tuple[float, CriticalPoint | None, CriticalPoint | None]] = []
     for i, lam in enumerate(lams):
         lam = float(lam)
-        seed_mp = derive_seed(cfg.seed, i)
         in1 = lam < consts.lam_hat1
         in2 = lam < consts.lam_hat2
         prob = make_problem(grid, kern, V, lam, nl)
         try:
-            e0, e1, _, _ = construct_endpoints(prob, eig.phi1, consts)
-            cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
-                               seed=seed_mp, constants=consts,
-                               **({} if cfg.mp_iter_cap is None
-                                  else {"max_outer": cfg.mp_iter_cap}))
-            second = find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
-                                          seed=derive_seed(cfg.seed, i) + 1,
-                                          max_iter=cfg.solve_iter_cap)
+            cp, second = solve_lambda(cfg, prob, eig.phi1, consts, i)
             rec = SweepRecord(
                 lam=lam,
                 norm_W=norm_W(cp.u, kern),

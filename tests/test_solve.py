@@ -161,7 +161,10 @@ def test_descend_divergence_guard(grid96, kernel96, pot96, nl_f1):
         descend(20.0 * np.sin(np.pi * grid96.nodes), prob, 1e-6,
                 seed=0, do_classify=False)
     assert "diverged" in str(err.value)
-    assert err.value.last is not None
+    last = err.value.last
+    assert isinstance(last, CriticalPoint)
+    assert last.trace[-1] == last.value
+    assert last.iterations == err.value.iterations == len(last.trace) - 1
 
 
 def test_descend_rejects_bad_tol(prob96):

@@ -5,8 +5,10 @@ driver is checked only through its preconditions and plumbing, and the
 CLI through in-process main() calls on small instances.
 """
 
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from fracmp import (
     build_grid,
 )
 from fracmp.cli import main
+
+# the package exports the sweep function under the submodule's name
+sweep_module = importlib.import_module("fracmp.sweep")
 
 SMALL = """\
 a = 0
@@ -103,7 +108,7 @@ def _records():
 def test_export_csv_round_trip(tmp_path):
     path = str(tmp_path / "sweep.csv")
     export(_records(), "csv", path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# generated ")
     assert lines[1] == CSV_HEADER
     assert len(lines) == 4
@@ -119,7 +124,7 @@ def test_export_csv_round_trip(tmp_path):
 def test_export_json_round_trip(tmp_path):
     path = str(tmp_path / "sweep.json")
     export(_records(), "json", path)
-    body = json.loads(open(path).read())
+    body = json.loads(Path(path).read_text())
     assert "generated" in body and len(body["records"]) == 2
     back = load_records(path)
     assert back[0]["energy"] == -1.5e-3
@@ -129,7 +134,7 @@ def test_export_json_round_trip(tmp_path):
 def test_export_empty_is_header_only(tmp_path):
     path = str(tmp_path / "empty.csv")
     export([], "csv", path)
-    lines = [ln for ln in open(path).read().splitlines() if not ln.startswith("#")]
+    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
     assert lines == [CSV_HEADER]
     assert load_records(path) == []
 
@@ -200,8 +205,10 @@ def _no_solver(monkeypatch):
     def solver(*args, **kwargs):
         raise AssertionError("solver called before the output checks")
 
-    for name in ("first_eigenpair", "torsion_solve", "mountain_pass", "sweep"):
+    for name in ("first_eigenpair", "torsion_solve", "sweep"):
         monkeypatch.setattr("fracmp.cli.%s" % name, solver)
+    for name in ("first_eigenpair", "mountain_pass"):
+        monkeypatch.setattr(sweep_module, name, solver)
 
 
 @pytest.mark.parametrize("command", ["eigen", "torsion", "solve", "sweep"])
@@ -232,8 +239,8 @@ def test_cli_solve_bad_ref_exits_2(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("n", [1000000, 14000])
 def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch, n):
     # rejected while the config is read, before any grid or table exists;
-    # at p = 2 the limit counts check's three n x n tables (n <= 13377)
-    monkeypatch.setattr("fracmp.cli._assemble", None)
+    # at p = 2 the limit counts verify's three n x n tables (n <= 13377)
+    monkeypatch.setattr("fracmp.cli.assemble", None)
     path = _write(tmp_path, SMALL.replace("n = 32", "n = %d" % n))
     assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -278,3 +285,25 @@ def test_cli_solve_full_report(tmp_path, config_dir):
     assert report["second"]["distinct"] is True
     values, meta = read_gridfn(out / "solution_mp.txt")
     assert meta["n"] == 96 and np.all(values > 0.0)
+
+
+def test_cli_verify_all_checks_pass(tmp_path, capsys):
+    assert main(["verify", _write(tmp_path, SMALL)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all checks passed"
+    assert sum(ln.startswith("ok   ") for ln in lines) == 10
+
+
+def test_cli_verify_mountain_pass_honours_cap(tmp_path, capsys, monkeypatch):
+    # verify's mountain pass is the one solve and sweep run, cap included
+    caps = []
+    real = sweep_module.mountain_pass
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs.get("max_outer"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "mountain_pass", spy)
+    main(["verify", _write(tmp_path, SMALL + "mp_iter_cap = 3\n")])
+    assert caps == [3]
+    assert "mountain pass" in capsys.readouterr().out
