@@ -18,9 +18,8 @@ def _slack(value: float) -> float:
     return _EPS_SLACK * (1.0 + abs(value))
 
 
-def bb_alpha(du: np.ndarray, dg: np.ndarray, fallback: float,
-             lo: float = 1e-14, hi: float = 1e14) -> float:
-    """Barzilai-Borwein step from a secant pair, clipped to [lo, hi].
+def bb_alpha(du: np.ndarray, dg: np.ndarray, fallback: float) -> float:
+    """Barzilai-Borwein step from a secant pair, clipped to [1e-14, 1e14].
 
     Prefers the long BB1 step; falls back to BB2, then to the supplied
     default when the curvature estimate is not positive.
@@ -34,7 +33,7 @@ def bb_alpha(du: np.ndarray, dg: np.ndarray, fallback: float,
         alpha = ug / gg
     else:
         alpha = fallback
-    return float(np.clip(alpha, lo, hi))
+    return float(np.clip(alpha, 1e-14, 1e14))
 
 
 def bb_descent(u: np.ndarray, value: float, gradient, trial, tol: float,

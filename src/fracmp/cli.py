@@ -28,13 +28,14 @@ from .eigen import first_eigenpair, inverse_power_lambda1, torsion_solve
 from .errors import (
     ConfigurationError,
     ExportError,
+    GateError,
     HypothesisError,
     SolverError,
     UsageError,
 )
 from .grid import read_gridfn, write_gridfn
 from .kernel import apply_flap, norm_W, seminorm_p
-from .model import energy, gradient, residual_norm
+from .model import energy, gradient, make_problem, residual_norm
 from .solve import (
     classify,
     comparison_check,
@@ -217,16 +218,24 @@ def cmd_verify(cfg: Config) -> int:
         nonlocal failures
         try:
             detail = fn()
+        except GateError:
+            raise  # an inadmissible instance is a config problem, not a failed check
         except Exception as exc:  # a crashed check is a failed check
             failures += 1
             print("FAIL %s: %s: %s" % (name, type(exc).__name__, exc))
             return
         print("ok   %s%s" % (name, " (%s)" % detail if detail else ""))
 
+    def check_after_eigenpair(name, fn):
+        check(name, fn if eig is not None else lambda: "skipped: no eigenpair")
+
     validate_config(cfg)
     grid, kern, V, nl = assemble(cfg)
     lam = float(np.min(lambdas(cfg)))
     rng = np.random.default_rng(cfg.seed)
+    prob = make_problem(grid, kern, V, lam, nl)
+    # set by the first-eigenpair check once certify succeeds
+    eig = consts = None
 
     def chk_kernel():
         if not np.array_equal(kern.W, kern.W.T):
@@ -250,8 +259,6 @@ def cmd_verify(cfg: Config) -> int:
 
     check("gradient pairing identity", chk_pairing)
 
-    eig, prob, consts = certify(cfg, (grid, kern, V, nl), lam)
-
     def chk_fd():
         tol = 1e-5 if cfg.p == 2.0 else 1e-3
         h_fd = 1e-6
@@ -272,6 +279,8 @@ def cmd_verify(cfg: Config) -> int:
     check("energy gradient vs finite differences", chk_fd)
 
     def chk_eigen():
+        nonlocal eig, consts
+        eig, _, consts = certify(cfg, (grid, kern, V, nl), lam)
         if eig.residual > cfg.eigen_tol:
             raise AssertionError("eigen residual %g" % eig.residual)
         if np.min(eig.phi1) < 0.0:
@@ -297,19 +306,19 @@ def cmd_verify(cfg: Config) -> int:
             raise AssertionError("torsion solution not positive")
         return "min=%.3g" % float(np.min(tor.u))
 
-    check("torsion positivity", chk_torsion)
+    check_after_eigenpair("torsion positivity", chk_torsion)
 
     def chk_ring():
         if lam >= consts.lam_hat2:
             return "skipped: lambda outside the certified window"
-        radius = consts.tau * lam ** (-prob.r)
-        bound = (1.0 / (4.0 * prob.p)) * radius ** prob.p
+        radius = consts.ring_radius(prob)
+        bound = consts.ring_bound(prob)
         vals = [energy(u, prob) for u in ring_samples(kern, radius, 30, seed=cfg.seed)]
         if min(vals) < bound:
             raise AssertionError("ring sample at %g below bound %g" % (min(vals), bound))
         return "min %.4g >= bound %.4g" % (min(vals), bound)
 
-    check("ring lower bound", chk_ring)
+    check_after_eigenpair("ring lower bound", chk_ring)
 
     def chk_endpoint():
         e0, e1, _, _ = construct_endpoints(prob, eig.phi1, consts)
@@ -317,7 +326,7 @@ def cmd_verify(cfg: Config) -> int:
             raise AssertionError("endpoint energy %g > 0" % energy(e1, prob))
         return "J(e1)=%.4g" % energy(e1, prob)
 
-    check("endpoint energy", chk_endpoint)
+    check_after_eigenpair("endpoint energy", chk_endpoint)
 
     def chk_mp():
         cp, _ = first_solution(cfg, prob, eig.phi1, consts)
@@ -329,12 +338,12 @@ def cmd_verify(cfg: Config) -> int:
         if residual_norm(cp.u, prob) > cfg.mp_tol:
             raise AssertionError("independent residual recheck failed")
         if lam < consts.lam_hat2:
-            bound = (1.0 / (4.0 * prob.p)) * (consts.tau * lam ** (-prob.r)) ** prob.p
+            bound = consts.ring_bound(prob)
             if cp.value < bound:
                 raise AssertionError("value %g below ring bound %g" % (cp.value, bound))
         return "value=%.6g residual=%.2g" % (cp.value, cp.residual)
 
-    check("mountain pass", chk_mp)
+    check_after_eigenpair("mountain pass", chk_mp)
 
     def chk_comparison():
         if cfg.p != 2.0 or np.any(V.values < 0.0):
@@ -345,7 +354,7 @@ def cmd_verify(cfg: Config) -> int:
             raise AssertionError("0.5*v vs v not confirmed: %r" % (rep,))
         return "max excess %.2g" % rep.max_excess
 
-    check("comparison principle", chk_comparison)
+    check_after_eigenpair("comparison principle", chk_comparison)
 
     def chk_determinism():
         origin = np.zeros(grid.n)

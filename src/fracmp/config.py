@@ -109,6 +109,8 @@ def _check(cfg: Config) -> Config:
         raise ConfigurationError("format must be csv or json, got %r" % cfg.fmt)
     if cfg.path_vertices < 8:
         raise ConfigurationError("path_vertices must be >= 8, got %d" % cfg.path_vertices)
+    if cfg.seed < 0:
+        raise ConfigurationError("seed must be >= 0, got %d" % cfg.seed)
     return cfg
 
 
@@ -214,14 +216,6 @@ def validate_config(cfg: Config, lambda1: float | None = None,
 
 def with_overrides(cfg: Config, out_dir: str | None = None,
                    fmt: str | None = None, seed: int | None = None) -> Config:
-    """CLI-flag overrides applied on top of a parsed config."""
-    changes = {}
-    if out_dir is not None:
-        changes["out_dir"] = out_dir
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise ConfigurationError("format must be csv or json, got %r" % fmt)
-        changes["fmt"] = fmt
-    if seed is not None:
-        changes["seed"] = seed
-    return replace(cfg, **changes) if changes else cfg
+    """CLI-flag overrides applied on top of a parsed config, then checked."""
+    changes = {"out_dir": out_dir, "fmt": fmt, "seed": seed}
+    return _check(replace(cfg, **{k: v for k, v in changes.items() if v is not None}))

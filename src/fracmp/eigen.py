@@ -22,12 +22,13 @@ from ._descent import bb_descent
 from .errors import PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
 from .kernel import Kernel, apply_flap, phi_p, quadratic_form_matrix, seminorm_p
-from .model import Potential
+from .model import Potential, operator_action, operator_energy
 
 log = logging.getLogger(__name__)
 
 EIGEN_CAP_PER_NODE = 50
 TORSION_CAP_PER_NODE = 200
+INVERSE_POWER_CAP = 10000
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +102,7 @@ def first_eigenpair(K: Kernel, grid: Grid, tol: float,
     return result
 
 
-def inverse_power_lambda1(K: Kernel, grid: Grid, tol: float = 1e-12,
-                          max_iter: int = 10000) -> float:
+def inverse_power_lambda1(K: Kernel, grid: Grid, tol: float = 1e-12) -> float:
     """p = 2 cross-check: inverse power iteration on the assembled pencil.
 
     Solves G v = mu h v for the smallest mu via repeated Cholesky solves;
@@ -116,7 +116,7 @@ def inverse_power_lambda1(K: Kernel, grid: Grid, tol: float = 1e-12,
     u = np.abs(grid.d.copy())
     u /= np.linalg.norm(u)
     lam = np.inf
-    for _ in range(max_iter):
+    for _ in range(INVERSE_POWER_CAP):
         v = cho_solve(fac, h * u)
         v /= np.linalg.norm(v)
         lam_new = float(v @ G @ v) / (h * float(v @ v))
@@ -126,21 +126,18 @@ def inverse_power_lambda1(K: Kernel, grid: Grid, tol: float = 1e-12,
         if done:
             return lam
     raise SolverError("inverse power iteration did not settle", last=u,
-                      iterations=max_iter, residual=np.nan)
+                      iterations=INVERSE_POWER_CAP, residual=np.nan)
 
 
 def torsion_energy(u, K: Kernel, grid: Grid, V: Potential, rhs: float = 1.0) -> float:
     """E(u) = S(u)/p + (h/p) sum V |u|^p - rhs h sum u."""
     v = as_grid_function(u, K.n)
-    S = seminorm_p(v, K)
-    pot = grid.h * float(np.sum(V.values * np.abs(v) ** K.p))
-    return S / K.p + pot / K.p - rhs * grid.h * float(np.sum(v))
+    return operator_energy(v, K, grid.h, V) - rhs * grid.h * float(np.sum(v))
 
 
 def torsion_gradient(u, K: Kernel, grid: Grid, V: Potential, rhs: float = 1.0) -> np.ndarray:
     v = as_grid_function(u, K.n)
-    return (apply_flap(v, K) / K.p + grid.h * V.values * phi_p(v, K.p)
-            - rhs * grid.h)
+    return operator_action(v, K, grid.h, V) - rhs * grid.h
 
 
 def torsion_solve(K: Kernel, grid: Grid, V: Potential, tol: float,

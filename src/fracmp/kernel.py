@@ -88,7 +88,6 @@ class Kernel:
 
     s: float
     p: float
-    sp: float
     n: int
     cell_weight: float
     W: np.ndarray
@@ -125,7 +124,7 @@ def assemble_kernel(grid: Grid, s: float, p: float) -> Kernel:
     for band in (W, W[1:], W[:, 1:]):
         np.fill_diagonal(band, near)
     tail = ((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp
-    return Kernel(s=s, p=p, sp=sp, n=grid.n, cell_weight=h, W=W, tail=tail)
+    return Kernel(s=s, p=p, n=grid.n, cell_weight=h, W=W, tail=tail)
 
 
 def phi_p(s, p: float):

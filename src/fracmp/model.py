@@ -37,7 +37,7 @@ class NonlinearitySpec:
 
     A, B certify the growth envelope A(s^q - 1) <= f(s) <= B(s^q + 1) on
     the validation samples; K certifies the superlinearity deficit
-    s f(s) - theta F(s) >= K on the stated range; min_sf records
+    s f(s) - theta F(s) >= K on [-2, 50]; min_sf records
     min s f(s) separately since the two lower bounds play different roles.
     Constants are None until the validators have run.
     """
@@ -49,7 +49,6 @@ class NonlinearitySpec:
     B: float | None = None
     K: float | None = None
     min_sf: float | None = None
-    ar_range: tuple[float, float] = (-2.0, 50.0)
 
 
 def default_theta(q: float, p: float) -> float:
@@ -93,6 +92,13 @@ def exponent_window(p: float, s: float) -> tuple[float, float]:
 
 
 _H1_SAMPLES = np.geomspace(1e-6, 1e6, 4001)
+# The superlinearity deficit and min s f(s) are certified on the samples
+# of [-2, _AR_HI], denser near the origin.
+_AR_HI = 50.0
+_AR_SAMPLES = np.unique(np.concatenate([
+    np.linspace(-2.0, 4.0, 10000), np.geomspace(4.0, _AR_HI, 10001), [-1.0, 0.0]]))
+# Sampled suprema of the primitive envelope are inflated by this factor.
+_ENVELOPE_INFLATE = 1.05
 
 
 def validate_H1(nl: NonlinearitySpec, p: float, s: float) -> tuple[float, float]:
@@ -130,17 +136,6 @@ def validate_H1(nl: NonlinearitySpec, p: float, s: float) -> tuple[float, float]
     return A, B
 
 
-def _ar_sample_grid(lo: float, hi: float, samples: int) -> np.ndarray:
-    """Sample points for the superlinearity deficit, denser near the origin."""
-    n_lin = samples // 2
-    pts = [np.linspace(lo, min(hi, 4.0), n_lin)]
-    if hi > 4.0:
-        pts.append(np.geomspace(4.0, hi, samples - n_lin))
-    pts.append(np.array([-1.0, 0.0]))
-    grid = np.unique(np.concatenate(pts))
-    return grid[(grid >= lo) & (grid <= hi)]
-
-
 def _refine_minimum(func, grid: np.ndarray, coarse_min_idx: int) -> float:
     """Polish a sampled minimum with a bounded scalar search."""
     i = coarse_min_idx
@@ -153,12 +148,10 @@ def _refine_minimum(func, grid: np.ndarray, coarse_min_idx: int) -> float:
     return float(min(func(grid[i]), res.fun))
 
 
-def validate_AR(nl: NonlinearitySpec, p: float,
-                ar_range: tuple[float, float] | None = None,
-                samples: int = 20001) -> float:
+def validate_AR(nl: NonlinearitySpec, p: float) -> float:
     """Certify superlinearity; return K = min of s f(s) - theta F(s).
 
-    The minimum is taken over the stated range (sampled, then polished
+    The minimum is taken over [-2, 50] (sampled, then polished
     around the best sample).  A trend probe beyond the range detects a
     deficit that is unbounded below, which happens exactly when theta
     exceeds the family's superlinearity exponent q+1 (and at theta = q+1
@@ -166,54 +159,43 @@ def validate_AR(nl: NonlinearitySpec, p: float,
     """
     if nl.theta <= p:
         raise HypothesisError("theta=%g must exceed p=%g" % (nl.theta, p))
-    lo, hi = ar_range if ar_range is not None else nl.ar_range
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi and hi > 0):
-        raise ConfigurationError("bad AR range (%g, %g)" % (lo, hi))
 
     def deficit(t):
         return t * f_eval(t, nl) - nl.theta * F_eval(t, nl)
 
-    probe = deficit(np.array([hi, 10.0 * hi, 100.0 * hi]))
+    probe = deficit(np.array([_AR_HI, 10.0 * _AR_HI, 100.0 * _AR_HI]))
     if probe[2] < probe[1] < probe[0] and probe[2] < 0.0:
         raise HypothesisError(
             "deficit unbounded below (trend %g -> %g -> %g beyond s=%g); "
             "theta=%g exceeds the admissible superlinearity of the family"
-            % (probe[0], probe[1], probe[2], hi, nl.theta)
+            % (probe[0], probe[1], probe[2], _AR_HI, nl.theta)
         )
-    grid = _ar_sample_grid(lo, hi, samples)
-    vals = deficit(grid)
-    return _refine_minimum(deficit, grid, int(np.argmin(vals)))
+    return _refine_minimum(deficit, _AR_SAMPLES, int(np.argmin(deficit(_AR_SAMPLES))))
 
 
-def min_sf(nl: NonlinearitySpec, ar_range: tuple[float, float] | None = None,
-           samples: int = 20001) -> float:
-    """min of s f(s) over the stated range (bounded below per the analysis)."""
-    lo, hi = ar_range if ar_range is not None else nl.ar_range
+def min_sf(nl: NonlinearitySpec) -> float:
+    """min of s f(s) over [-2, 50] (bounded below per the analysis)."""
 
     def sf(t):
         return t * f_eval(t, nl)
 
-    grid = _ar_sample_grid(lo, hi, samples)
-    vals = sf(grid)
-    return _refine_minimum(sf, grid, int(np.argmin(vals)))
+    return _refine_minimum(sf, _AR_SAMPLES, int(np.argmin(sf(_AR_SAMPLES))))
 
 
 def make_nonlinearity(q: float, f0: float, p: float, s: float,
-                      theta: float | None = None,
-                      ar_range: tuple[float, float] = (-2.0, 50.0)) -> NonlinearitySpec:
+                      theta: float | None = None) -> NonlinearitySpec:
     """Build and fully certify a NonlinearitySpec for the given (p, s)."""
     q = float(q)
     f0 = float(f0)
     theta = default_theta(q, p) if theta is None else float(theta)
-    nl = NonlinearitySpec(q=q, f0=f0, theta=theta, ar_range=tuple(ar_range))
+    nl = NonlinearitySpec(q=q, f0=f0, theta=theta)
     A, B = validate_H1(nl, p, s)
     nl = replace(nl, A=A, B=B)
     K = validate_AR(nl, p)
     return replace(nl, K=K, min_sf=min_sf(nl))
 
 
-def primitive_envelope(nl: NonlinearitySpec, inflate: float = 1.05,
-                       floor: float = 1e-9) -> tuple[float, float, float]:
+def primitive_envelope(nl: NonlinearitySpec) -> tuple[float, float, float]:
     """Constants (A1, C1, B1) boxing the primitive F.
 
     F(s) >= A1 (s^{q+1} - C1) for s >= 0 with A1 = A/(2(q+1)) (half the
@@ -231,10 +213,10 @@ def primitive_envelope(nl: NonlinearitySpec, inflate: float = 1.05,
     t_neg = np.linspace(-2.0, 0.0, 801)
     t_all = np.concatenate([t_neg, t_pos])
     ratio = F_eval(t_all, nl) / (np.abs(t_all) ** q1 + 1.0)
-    B1 = inflate * max(1.0 / q1, float(np.max(ratio)))
+    B1 = _ENVELOPE_INFLATE * max(1.0 / q1, float(np.max(ratio)))
     gap = t_pos ** q1 - F_eval(t_pos, nl) / A1
     top = float(np.max(gap))
-    C1 = max(floor, inflate * top)
+    C1 = max(1e-9, _ENVELOPE_INFLATE * top)
     return A1, C1, B1
 
 
@@ -310,25 +292,33 @@ def make_problem(grid: Grid, kernel: Kernel, V: Potential, lam: float,
     return Problem(grid=grid, kernel=kernel, V=V, lam=lam, nl=nl)
 
 
+def operator_energy(v: np.ndarray, K: Kernel, h: float, V: Potential) -> float:
+    """S(v)/p + (h/p) sum V |v|^p: the operator part of every energy."""
+    S = seminorm_p(v, K)
+    pot = h * float(np.sum(V.values * np.abs(v) ** K.p))
+    return S / K.p + pot / K.p
+
+
+def operator_action(v: np.ndarray, K: Kernel, h: float, V: Potential) -> np.ndarray:
+    """A(v) = apply_flap(v)/p + h V Phi_p(v): the gradient of operator_energy."""
+    g = apply_flap(v, K) / K.p
+    g += h * V.values * phi_p(v, K.p)
+    return g
+
+
 def energy(u, prob: Problem) -> float:
     """J(u) = S(u)/p + (h/p) sum V |u|^p - lambda h sum F(u)."""
     v = as_grid_function(u, prob.grid.n)
-    p = prob.p
-    h = prob.h
-    S = seminorm_p(v, prob.kernel)
-    pot = h * float(np.sum(prob.V.values * np.abs(v) ** p))
-    non = h * float(np.sum(F_eval(v, prob.nl)))
-    return S / p + pot / p - prob.lam * non
+    J = operator_energy(v, prob.kernel, prob.h, prob.V)
+    non = prob.h * float(np.sum(F_eval(v, prob.nl)))
+    return J - prob.lam * non
 
 
 def gradient(u, prob: Problem) -> np.ndarray:
     """Exact Euclidean gradient of energy at u."""
     v = as_grid_function(u, prob.grid.n)
-    p = prob.p
-    h = prob.h
-    g = apply_flap(v, prob.kernel) / p
-    g += h * prob.V.values * phi_p(v, p)
-    g -= prob.lam * h * f_eval(v, prob.nl)
+    g = operator_action(v, prob.kernel, prob.h, prob.V)
+    g -= prob.lam * prob.h * f_eval(v, prob.nl)
     return g
 
 

@@ -24,15 +24,25 @@ import numpy as np
 from scipy import optimize
 
 from ._descent import _slack, bb_descent
+from .eigen import rayleigh
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, apply_flap, norm_W, phi_p, seminorm_p
-from .model import Problem, energy, f_eval, gradient, primitive_envelope, residual_norm
+from .kernel import Kernel, norm_W, seminorm_p
+from .model import (
+    Problem,
+    energy,
+    f_eval,
+    gradient,
+    operator_action,
+    primitive_envelope,
+    residual_norm,
+)
 
 log = logging.getLogger(__name__)
 
 DESCENT_CAP_PER_NODE = 200
 MP_OUTER_CAP = 2000
+POLISH_CAP = 40000
 DISTINCT_REL = 1e-3
 _DIVERGE_VALUE = -1e14
 _DIVERGE_SUP = 1e12
@@ -73,9 +83,16 @@ class ScalingConstants:
     def lam3(self) -> float:
         return min(self.lam_hat1, self.lam_hat2)
 
+    def ring_radius(self, prob: Problem) -> float:
+        """tau lambda^(-r): the norm of the ring that separates the endpoints."""
+        return self.tau * prob.lam ** (-prob.r)
 
-def sobolev_constant(K: Kernel, grid: Grid, exponent: float,
-                     seed: int = 0, iters: int = 400) -> float:
+    def ring_bound(self, prob: Problem) -> float:
+        """(1/(4p)) (tau lambda^(-r))^p: the energy floor on the ring."""
+        return (1.0 / (4.0 * prob.p)) * self.ring_radius(prob) ** prob.p
+
+
+def sobolev_constant(K: Kernel, grid: Grid, exponent: float, seed: int = 0) -> float:
     """Estimate sup ||u||_t / S(u)^(1/p) for t = exponent by projected ascent.
 
     Maximizes the L^t mass on the unit sphere of the solution-space norm
@@ -97,7 +114,7 @@ def sobolev_constant(K: Kernel, grid: Grid, exponent: float,
         u = u0 / norm_W(u0, K)
         mass = h * float(np.sum(np.abs(u) ** t))
         alpha = None
-        for _ in range(iters):
+        for _ in range(400):
             g = t * h * np.sign(u) * np.abs(u) ** (t - 1.0)
             if alpha is None:
                 alpha = 0.1 / max(float(np.linalg.norm(g)), 1e-30)
@@ -120,8 +137,7 @@ def sobolev_constant(K: Kernel, grid: Grid, exponent: float,
     return best
 
 
-def certify_constants(prob: Problem, phi1, *, sobolev_inflate: float = 1.1,
-                      seed: int = 0) -> ScalingConstants:
+def certify_constants(prob: Problem, phi1, *, seed: int = 0) -> ScalingConstants:
     """Evaluate the threshold formulas with numerically certified constants.
 
     lambda1 is taken as the Rayleigh quotient of the supplied eigenfunction
@@ -136,13 +152,13 @@ def certify_constants(prob: Problem, phi1, *, sobolev_inflate: float = 1.1,
     p = prob.p
     q1 = prob.q + 1.0
     r = prob.r
-    lam1 = seminorm_p(phi, K) / (grid.h * float(np.sum(np.abs(phi) ** p)))
+    lam1 = rayleigh(phi, K, grid)
     cV = prob.V.cV
     Vinf = prob.V.Vinf
     if cV >= lam1:
         raise PotentialGateError("c_V = %g >= lambda1 = %g" % (cV, lam1))
     A1, C1, B1 = primitive_envelope(prob.nl)
-    C = sobolev_inflate * sobolev_constant(K, grid, q1, seed=seed)
+    C = 1.1 * sobolev_constant(K, grid, q1, seed=seed)
     tau = (2.0 * (1.0 - cV / lam1) / (3.0 * p * C ** q1 * B1)) ** r
     phin = phi / norm_W(phi, K)
     phi_mass = grid.h * float(np.sum(np.abs(phin) ** q1))
@@ -156,7 +172,7 @@ def certify_constants(prob: Problem, phi1, *, sobolev_inflate: float = 1.1,
                             lam_hat1=float(lam_hat1), lam_hat2=float(lam_hat2))
 
 
-def construct_endpoints(prob: Problem, phi1, constants: ScalingConstants | None = None
+def construct_endpoints(prob: Problem, phi1, constants: ScalingConstants
                         ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The two mountain-pass endpoints: the origin and c lambda^{-r} phi1.
 
@@ -167,8 +183,6 @@ def construct_endpoints(prob: Problem, phi1, constants: ScalingConstants | None 
     phi = as_grid_function(phi1, prob.grid.n)
     if not np.all(phi > 0.0):
         raise UsageError("endpoint construction needs a strictly positive phi1")
-    if constants is None:
-        constants = certify_constants(prob, phi)
     if prob.lam >= constants.lam3:
         log.warning("lambda = %g outside the certified window (lam3 = %g); "
                     "endpoint geometry not guaranteed", prob.lam, constants.lam3)
@@ -188,8 +202,7 @@ def ring_samples(K: Kernel, radius: float, count: int, seed: int = 0) -> list[np
 
 
 def descend(u0, prob: Problem, tol: float, max_iter: int | None = None,
-            seed: int = 0, do_classify: bool = True,
-            rho: float | None = None, probes: int = 20) -> CriticalPoint:
+            seed: int = 0) -> CriticalPoint:
     """Monotone descent of the energy to a residual-tol critical point.
 
     Divergence (the functional is unbounded below) is detected and raised
@@ -220,16 +233,17 @@ def descend(u0, prob: Problem, tol: float, max_iter: int | None = None,
     if cp.residual > tol:
         raise SolverError("descent stalled at residual %g > tol %g" % (cp.residual, tol),
                           last=cp, iterations=cp.iterations, residual=cp.residual)
-    if do_classify:
-        scale = norm_W(cp.u, prob.kernel) if np.any(cp.u) else 0.0
-        radius = rho if rho is not None else max(1e-3, 1e-2 * scale)
-        if classify(cp, prob, radius, probes, seed=seed) == "local-min":
-            cp = replace(cp, tag="local-min")
+    if _probe_tag(cp, prob, seed) == "local-min":
+        cp = replace(cp, tag="local-min")
     return cp
 
 
-def classify(cp, prob: Problem, rho: float, m: int, seed: int = 0,
-             arc_probes: int = 7) -> str:
+def _probe_tag(cp: CriticalPoint, prob: Problem, seed: int) -> str:
+    """classify with 20 probes at radius max(1e-3, 1e-2 ||u||_W)."""
+    return classify(cp, prob, max(1e-3, 1e-2 * norm_W(cp.u, prob.kernel)), 20, seed=seed)
+
+
+def classify(cp, prob: Problem, rho: float, m: int, seed: int = 0) -> str:
     """Probe the rho-sphere around a critical point with m seeded directions.
 
     All probes strictly higher: local-min.  At least two descent
@@ -267,7 +281,7 @@ def classify(cp, prob: Problem, rho: float, m: int, seed: int = 0,
         return "local-min"
     lower = [i for i, v in enumerate(vals) if v < J0 - eps]
     if len(lower) >= 2:
-        ts = np.linspace(0.0, 1.0, arc_probes + 2)[1:-1]
+        ts = np.linspace(0.0, 1.0, 7 + 2)[1:-1]  # 7 points inside each arc
         for a in range(len(lower)):
             for b in range(a + 1, len(lower)):
                 da, db = dirs[lower[a]], dirs[lower[b]]
@@ -320,7 +334,7 @@ def _reparametrize(path: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def _refine_maximizer(path: np.ndarray, J: np.ndarray, kmax: int,
-                      prob: Problem, samples: int = 15) -> np.ndarray:
+                      prob: Problem) -> np.ndarray:
     """1-d max of the energy along the polyline near the max vertex."""
     P = path.shape[0] - 1
     best_u = path[kmax]
@@ -328,7 +342,7 @@ def _refine_maximizer(path: np.ndarray, J: np.ndarray, kmax: int,
     for ka, kb in ((kmax - 1, kmax), (kmax, kmax + 1)):
         if ka < 0 or kb > P:
             continue
-        for t in np.linspace(0.0, 1.0, samples + 2)[1:-1]:
+        for t in np.linspace(0.0, 1.0, 15 + 2)[1:-1]:  # 15 points inside each segment
             w = (1.0 - t) * path[ka] + t * path[kb]
             Jw = energy(w, prob)
             if Jw > best_J:
@@ -373,14 +387,14 @@ def _hessian_product(w: np.ndarray, xi: np.ndarray, prob: Problem,
 
 
 def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
-                        fd_eps: float, inner: int = 40) -> np.ndarray:
+                        fd_eps: float) -> np.ndarray:
     """Rotate v toward the most negative curvature direction of J at w.
 
     Rayleigh-quotient minimization with exact two-dimensional Rayleigh-Ritz
     steps on span{v, residual}, using finite-difference Hessian products.
     """
     v = v / max(float(np.linalg.norm(v)), 1e-300)
-    for _ in range(inner):
+    for _ in range(40):
         Hv = _hessian_product(w, v, prob, fd_eps)
         a = float(v @ Hv)
         resid = Hv - a * v
@@ -403,7 +417,6 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
 
 def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
                   seed: int = 0, max_outer: int | None = None,
-                  polish_cap: int = 40000,
                   constants: ScalingConstants | None = None) -> CriticalPoint:
     """Elastic-path min-max search between e0 and e1, then saddle polish.
 
@@ -528,8 +541,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
     tangent = fine[min(kref + 1, 2 * P)] - fine[max(kref - 1, 0)]
 
     u_best, r_best, flow_its = _polish_saddle(
-        w0, tangent, prob, tol, polish_cap,
-        value_lo=J_path_min, value_hi=M)
+        w0, tangent, prob, tol, value_lo=J_path_min, value_hi=M)
     total_its = evals + flow_its
     value = energy(u_best, prob)
     final_res = residual_norm(u_best, prob)
@@ -546,16 +558,13 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
             "polish converged at value %g, away from the path level %g" % (value, M),
             last=cp, iterations=total_its, residual=final_res)
     if constants is not None and prob.lam < constants.lam_hat2:
-        bound = (1.0 / (4.0 * prob.p)) * (constants.tau * prob.lam ** (-prob.r)) ** prob.p
+        bound = constants.ring_bound(prob)
         if value < bound:
             log.warning("mountain-pass value %g below the ring bound %g "
                         "(lambda inside the certified window)", value, bound)
-    tag = classify(cp, prob, max(1e-3, 1e-2 * norm_W(u_best, prob.kernel)),
-                   20, seed=seed)
+    tag = _probe_tag(cp, prob, seed)
     if tag != "unknown":
-        cp = CriticalPoint(u=cp.u, value=cp.value, residual=cp.residual,
-                           tag=tag, iterations=cp.iterations,
-                           path_value=cp.path_value, trace=cp.trace)
+        cp = replace(cp, tag=tag)
     return cp
 
 
@@ -565,10 +574,9 @@ def _level_bracket(M: float) -> tuple[float, float]:
     return M - 0.75 * abs(M) - atol, M + 0.25 * abs(M) + atol
 
 
-def _stable_step(w: np.ndarray, v: np.ndarray, prob: Problem,
-                 fd_eps: float, seed: int = 0) -> float:
+def _stable_step(w: np.ndarray, v: np.ndarray, prob: Problem, fd_eps: float) -> float:
     """1/L step estimate from sampled finite-difference curvature products."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     L = 1e-12
     dirs = [v] + [rng.standard_normal(w.size) for _ in range(3)]
     for xi in dirs:
@@ -578,7 +586,7 @@ def _stable_step(w: np.ndarray, v: np.ndarray, prob: Problem,
 
 
 def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
-                   tol: float, cap: int, value_lo: float, value_hi: float
+                   tol: float, value_lo: float, value_hi: float
                    ) -> tuple[np.ndarray, float, int]:
     """Reflected gradient flow from the path maximizer toward the saddle.
 
@@ -606,7 +614,7 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
         v = _negative_direction(w, v0, prob, fd_eps)
         eta = eta0 / (3.0 ** round_)
         since_refresh = 0
-        while it_total < cap:
+        while it_total < POLISH_CAP:
             g = gradient(w, prob)
             r = float(np.linalg.norm(g) / sqrt_h)
             it_total += 1
@@ -690,10 +698,9 @@ def comparison_check(u, v, prob: Problem) -> ComparisonReport:
     n = prob.grid.n
     uu = as_grid_function(u, n)
     vv = as_grid_function(v, n)
-    h = prob.h
     phi = np.maximum(uu - vv, 0.0)
-    Au = apply_flap(uu, prob.kernel) / prob.p + h * prob.V.values * phi_p(uu, prob.p)
-    Av = apply_flap(vv, prob.kernel) / prob.p + h * prob.V.values * phi_p(vv, prob.p)
+    Au = operator_action(uu, prob.kernel, prob.h, prob.V)
+    Av = operator_action(vv, prob.kernel, prob.h, prob.V)
     pairing = float((Au - Av) @ phi)
     scale = float(np.sum(np.abs(phi) * (np.abs(Au) + np.abs(Av))))
     hypothesis = pairing <= 1e-10 * (1.0 + scale)

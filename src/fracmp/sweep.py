@@ -256,17 +256,18 @@ def export(records, fmt: str, path: str) -> None:
         raise ExportError("cannot write %s: %s" % (path, exc), path) from exc
 
 
-def load_records(path: str, fmt: str | None = None) -> list[dict]:
-    """Read an exported table back as dicts keyed by the CSV field names."""
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "csv"
+def load_records(path: str) -> list[dict]:
+    """Read an exported table back as dicts keyed by the CSV field names.
+
+    A path ending in .json is read as JSON, any other as CSV.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ExportError("cannot read %s: %s" % (path, exc), path) from exc
     fields = CSV_HEADER.split(",")
-    if fmt == "json":
+    if path.endswith(".json"):
         body = json.loads(text)
         out = []
         for rec in body["records"]:

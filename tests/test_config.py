@@ -111,6 +111,8 @@ def test_check_rejects_inconsistent_configs(tmp_path):
         parse_config(_write(tmp_path, BASE + "format = xml\n"))
     with pytest.raises(ConfigurationError, match="eigen_tol"):
         parse_config(_write(tmp_path, BASE + "eigen_tol = 0\n"))
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        parse_config(_write(tmp_path, BASE + "seed = -1\n"))
 
 
 def test_load_potential_constant_and_default(tmp_path):
@@ -194,3 +196,8 @@ def test_with_overrides(tmp_path):
     assert new.out_dir == "/tmp/x" and new.fmt == "json" and new.seed == 5
     # originals untouched (frozen dataclass)
     assert cfg.out_dir == "." and cfg.fmt == "csv" and cfg.seed == 0
+    # overrides are checked like the file's own values
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        with_overrides(cfg, seed=-1)
+    with pytest.raises(ConfigurationError, match="format"):
+        with_overrides(cfg, fmt="xml")

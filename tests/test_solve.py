@@ -7,6 +7,9 @@ contracts (residual, monotone levels, ring lower bound) rather than
 frozen iterates.
 """
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ from fracmp import (
     PreconditionError,
     SolverError,
     UsageError,
+    assemble_kernel,
+    build_grid,
+    certify_constants,
     classify,
     comparison_check,
     construct_endpoints,
@@ -23,6 +29,7 @@ from fracmp import (
     distinct,
     energy,
     find_second_solution,
+    first_eigenpair,
     make_nonlinearity,
     make_potential,
     make_problem,
@@ -158,8 +165,7 @@ def test_descend_divergence_guard(grid96, kernel96, pot96, nl_f1):
     # far above the mountain the functional is unbounded below
     prob = make_problem(grid96, kernel96, pot96, 1e4, nl_f1)
     with pytest.raises(SolverError) as err:
-        descend(20.0 * np.sin(np.pi * grid96.nodes), prob, 1e-6,
-                seed=0, do_classify=False)
+        descend(20.0 * np.sin(np.pi * grid96.nodes), prob, 1e-6, seed=0)
     assert "diverged" in str(err.value)
     last = err.value.last
     assert isinstance(last, CriticalPoint)
@@ -299,3 +305,55 @@ def test_find_second_solution_distinct(prob96, mp_first, endpoints96):
     assert second is not None
     assert second.residual <= 1e-6
     assert distinct(second.u, mp_first.u)
+
+
+def _instance(n, s, p, q, f0, V, lam):
+    """Problem, endpoints and certified constants of one instance on (0, 1)."""
+    grid = build_grid(0.0, 1.0, n)
+    kern = assemble_kernel(grid, s, p)
+    prob = make_problem(grid, kern, make_potential(grid, constant=V), lam,
+                        make_nonlinearity(q, f0, p, s))
+    eig = first_eigenpair(kern, grid, 1e-9)
+    consts = certify_constants(prob, eig.phi1, seed=0)
+    e0, e1, _, _ = construct_endpoints(prob, eig.phi1, consts)
+    return prob, e0, e1, consts
+
+
+def test_saddle_polish_restarts_then_newton_fallback(monkeypatch, caplog):
+    # the reflected flow stalls above tol in all three rounds; the
+    # Newton-Krylov fallback from its best iterate reaches tol
+    prob, e0, e1, consts = _instance(64, 0.2, 3.0, 4.0, 1.0, 0.25, 0.5)
+    rotated_at = []
+    real = fracmp.solve._negative_direction
+
+    def spy(w, v, prob, fd_eps):
+        rotated_at.append(w.copy())
+        return real(w, v, prob, fd_eps)
+
+    monkeypatch.setattr(fracmp.solve, "_negative_direction", spy)
+    caplog.set_level(logging.INFO, logger="fracmp.solve")
+    # the flow diverges before a restart, and gradient warns on the overflow
+    with pytest.warns(RuntimeWarning) as record:
+        cp = mountain_pass(prob, e0, e1, tol=1e-6, seed=0, constants=consts)
+    assert any(w.filename.endswith("model.py") for w in record)
+    # each round starts its direction estimate at the path maximizer
+    assert sum(np.array_equal(w, rotated_at[0]) for w in rotated_at) == 3
+    notes = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("saddle polish used the Newton fallback")]
+    assert len(notes) == 1
+    flow, newton = map(float, re.search(
+        r"flow residual (\S+), Newton residual (\S+)\)", notes[0]).groups())
+    assert 1e-3 < flow < 2e-3
+    assert newton < 1e-7
+    assert cp.residual == pytest.approx(newton, rel=1e-5)
+    assert cp.residual <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="the polish leaves the path level although lambda is "
+                          "inside the certified window")
+def test_mountain_pass_inside_window_q2():
+    prob, e0, e1, consts = _instance(64, 0.3, 2.5, 2.0, 1.0, 0.0, 0.5)
+    assert prob.lam < consts.lam3
+    cp = mountain_pass(prob, e0, e1, tol=1e-6, seed=0, constants=consts)
+    assert cp.residual <= 1e-6

@@ -17,6 +17,7 @@ from fracmp import (
     CSV_HEADER,
     ConfigurationError,
     ExportError,
+    SolverError,
     SweepRecord,
     UsageError,
     derive_seed,
@@ -292,6 +293,94 @@ def test_cli_verify_all_checks_pass(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "all checks passed"
     assert sum(ln.startswith("ok   ") for ln in lines) == 10
+
+
+def test_cli_verify_reports_stalled_eigenpair(tmp_path, capsys):
+    # the eigenpair is a check like the others: its failure is reported,
+    # the checks built on it are skipped, and the suite runs to its summary
+    assert main(["verify", _write(tmp_path, SMALL + "eigen_iter_cap = 2\n")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("FAIL first eigenpair: SolverError: eigen solver stalled")
+               for ln in lines)
+    assert sum(ln.endswith("(skipped: no eigenpair)") for ln in lines) == 5
+    assert lines[-1] == "1 check(s) failed"
+
+
+def test_cli_verify_potential_gate_exits_2(tmp_path, capsys):
+    # c_V = 20 exceeds lambda1 ~ 12.8: a config problem, not a failed check
+    assert main(["verify", _write(tmp_path, SMALL.replace("V_const = 0.25",
+                                                          "V_const = -20"))]) == 2
+    assert "PotentialGateError" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys, monkeypatch):
+    _no_solver(monkeypatch)
+    path = _write(tmp_path, SMALL)
+    assert main(["solve", path, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_cli_solve_without_second_solution(tmp_path, monkeypatch):
+    # every descent of the second-solution search fails: absence is a report
+    tried = []
+    found = []
+    real = sweep_module.find_second_solution
+
+    def fail(u0, *args, **kwargs):
+        tried.append(u0)
+        raise SolverError("descent stalled")
+
+    def spy(*args, **kwargs):
+        found.append(real(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr("fracmp.solve.descend", fail)
+    monkeypatch.setattr(sweep_module, "find_second_solution", spy)
+    out = tmp_path / "out"
+    assert main(["solve", _write(tmp_path, SMALL), "--out", str(out)]) == 0
+    # f(0) = 1: the origin, three jittered hats, beyond e1, 0.5 u and 1.5 u
+    assert len(tried) == 7
+    assert found == [None]
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["second"] is None
+    assert not (out / "solution_second.txt").exists()
+
+
+SMALL_SWEEP = SMALL.replace("lambda = 0.5",
+                            "lambda_start = 0.05\nlambda_stop = 0.8\nlambda_count = 4")
+
+
+def test_cli_sweep_failed_rows(tmp_path, capsys, monkeypatch):
+    real = sweep_module.mountain_pass
+    calls = []
+
+    def second_fails(prob, *args, **kwargs):
+        calls.append(prob.lam)
+        if len(calls) == 2:
+            raise SolverError("mountain pass stalled")
+        return real(prob, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "mountain_pass", second_fails)
+    out = tmp_path / "out"
+    assert main(["sweep", _write(tmp_path, SMALL_SWEEP), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "lambda=%.6g: FAILED (mountain pass stalled)" % calls[1]
+    rows = load_records(str(out / "sweep.csv"))
+    assert all(math.isnan(rows[1][k]) for k in ("norm_W", "norm_inf", "energy", "residual"))
+    assert rows[1]["distinct_count"] == 0 and rows[1]["positive"] is False
+    assert all(r["distinct_count"] >= 1 for i, r in enumerate(rows) if i != 1)
+
+
+def test_cli_sweep_every_row_failed_exits_1(tmp_path, capsys, monkeypatch):
+    def fails(*args, **kwargs):
+        raise SolverError("mountain pass stalled")
+
+    monkeypatch.setattr(sweep_module, "mountain_pass", fails)
+    out = tmp_path / "out"
+    assert main(["sweep", _write(tmp_path, SMALL_SWEEP), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(ln.endswith(": FAILED (mountain pass stalled)") for ln in lines) == 4
+    assert [r["distinct_count"] for r in load_records(str(out / "sweep.csv"))] == [0] * 4
 
 
 def test_cli_verify_mountain_pass_honours_cap(tmp_path, capsys, monkeypatch):
