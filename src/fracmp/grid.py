@@ -63,6 +63,17 @@ def as_grid_function(u, n: int) -> np.ndarray:
     return v
 
 
+def as_grid_stack(u, n: int) -> np.ndarray:
+    """Validate u as one grid function (n,) or a stack of them (B, n)."""
+    v = np.asarray(u, dtype=float)
+    if v.shape != (n,) and (v.ndim != 2 or v.shape[1] != n):
+        raise UsageError("grid function has shape %r, expected (%d,) or (B, %d)"
+                         % (v.shape, n, n))
+    if not np.isfinite(v).all():
+        raise UsageError("grid function contains non-finite values")
+    return v
+
+
 def norms(u, grid: Grid, p: float) -> tuple[float, float]:
     """Return (Lp norm, sup norm) of u under midpoint quadrature.
 

@@ -18,6 +18,18 @@ of the block's first row, the rest mirrored from the block's transpose.
 The table is then multiplied by W in place, and summed in full for the
 seminorm and by rows for the operator.
 
+seminorm_p, norm_W and apply_flap take one grid function (n,) or a stack of
+them (B, n), and return one result per row.  A stack builds one (B, n, n)
+table: the same row-block loop, with every slice taken across the stack,
+W broadcast over it, and each row's sums read along that row, so every row
+of a stacked result is the same bytes as the call on that row alone.  One
+grid function is the stack of one row, through the same code.  Stacks form
+while B * n * n stays within _STACK_CAP = 2^17 entries (1 MiB); a longer
+stack is cut into stacks of that size.  At n = 96 and p = 2 a stack of 14
+costs about 40 (seminorm_p) and 30 us (apply_flap) a point, against 60 and
+45 us for one point (tools/kernel_timing.py); from n = 363 on a stack is
+one row, so the two-thread path below always sees one row.
+
 From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, and when the process may
 run on more than one CPU, the calling thread shares this work with the one
 thread of a pool, started on first use (numpy's elementwise loops release
@@ -26,14 +38,16 @@ starts from one deque, widest block first, so the work splits evenly and a
 thread that starts late or is descheduled just takes fewer blocks.  Build
 block r0:r1 owns M[r0:r1, r0:] and the mirror M[r1:, r0:r1]; weighting
 block r0:r1 owns the rows r0:r1 and their row sums: the blocks write
-disjoint regions.  The seminorm's full sum stays one np.sum over the table
-on the calling thread.  Every entry is the same elementwise operation on
+disjoint regions.  The seminorm's sum over the whole table stays on the
+calling thread.  Every entry is the same elementwise operation on
 the same floats whichever thread computes it, and a row's sum reads only
 that row, so both functions return the same bytes on one thread or two.
 Below the threshold the second thread costs more than it saves
-(tools/kernel_timing.py prints both paths side by side).  Its scratch
-comes from the caller, so it allocates no array data of its own, and it
-runs in the caller's context, so the caller's np.errstate holds there.
+(tools/kernel_timing.py prints both paths side by side); there the table
+is built and weighed inline, with no block scheduling.  The second
+thread's scratch comes from the caller, so it allocates no array data of
+its own, and it runs in the caller's context, so the caller's np.errstate
+holds there.
 """
 from __future__ import annotations
 
@@ -43,11 +57,12 @@ import tracemalloc
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .grid import Grid, as_grid_function
+from .grid import Grid, as_grid_stack
 
 # Rows of the pair table computed per block: large enough to amortise the
 # per-call overhead of numpy, small enough that the block temporaries stay
@@ -56,6 +71,11 @@ _PAIR_BLOCK = 128
 # From this many rows on, two threads share the row blocks of a table;
 # below it one thread is faster (tools/kernel_timing.py).
 _PARALLEL_ROWS = 4 * _PAIR_BLOCK
+# Entries (B * n * n) of one stacked pair table, 1 MiB: a longer stack of
+# grid functions is cut into stacks of this size.  At n = 96 the cost per
+# point is level from 2^16 to 2^17 and rises at 2^18 (tools/kernel_timing.py);
+# 2^17 evaluates the mountain pass's 41 path samples in three stacks.
+_STACK_CAP = 1 << 17
 # CPUs this process may run on: one keeps every table on one thread.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
@@ -155,22 +175,22 @@ def _take(todo: deque):
 def _run_blocks(n: int, work, scratch: list) -> None:
     """Call work(starts, scratch[k]) on thread k over an n-row table's blocks.
 
-    With two scratch entries the pool's thread runs beside the calling
-    thread; both pop the next row-block start from one deque when they
-    finish a block, so a pool thread that starts late, or is descheduled,
-    only takes fewer blocks.  While tracemalloc is tracing, the calling
-    thread takes every block: the peak it reports would otherwise depend
-    on how the two threads' transient numpy buffers overlap, and the
-    arrays allocated are the same either way.
+    The pool's thread runs beside the calling thread; both pop the next
+    row-block start from one deque when they finish a block, so a pool
+    thread that starts late, or is descheduled, only takes fewer blocks.
+    While tracemalloc is tracing, the calling thread takes every block: the
+    peak it reports would otherwise depend on how the two threads'
+    transient numpy buffers overlap, and the arrays allocated are the same
+    either way.
 
-    The pool's part gets work (whose closure holds the table) through a
-    list that is empty when this returns.  A work item the pool still
-    queues after its cancel, or still holds after its run, would otherwise
-    keep the table alive into the next call, and whether two tables were
-    resident at once, and so the process's peak memory, would depend on
-    when the pool's thread woke.
+    The pool's part gets work (which holds the table) through a list that
+    is empty when this returns.  A work item the pool still queues after
+    its cancel, or still holds after its run, would otherwise keep the
+    table alive into the next call, and whether two tables were resident at
+    once, and so the process's peak memory, would depend on when the pool's
+    thread woke.
     """
-    if len(scratch) == 1 or tracemalloc.is_tracing():
+    if tracemalloc.is_tracing():
         work(range(0, n, _PAIR_BLOCK), scratch[0])
         return
     todo = deque(range(0, n, _PAIR_BLOCK))
@@ -192,102 +212,150 @@ def _run_taken(args: list) -> None:
     work(starts, scratch)
 
 
-def _pair_table(v: np.ndarray, e: float, odd: bool) -> np.ndarray:
-    """The n x n table |v_i - v_j|^e, times sign(v_i - v_j) when odd.
+def _fill(M: np.ndarray, v: np.ndarray, e: float, odd: bool, starts, sign) -> None:
+    """Fill the row blocks at starts of the stacked pair table M (see _pair_table)."""
+    n = v.shape[1]
+    for r0 in starts:
+        r1 = min(r0 + _PAIR_BLOCK, n)
+        if odd and e == 1.0:
+            np.subtract(v[:, r0:r1, None], v[:, None, :], out=M[:, r0:r1])
+            continue
+        blk = M[:, r0:r1, r0:]
+        np.subtract(v[:, r0:r1, None], v[:, None, r0:], out=blk)
+        if odd:
+            sgn = np.sign(blk, out=sign[:, :r1 - r0, :n - r0])
+        np.abs(blk, out=blk)
+        np.power(blk, e, out=blk)
+        if odd:
+            np.multiply(sgn, blk, out=blk)
+        if r1 == n:
+            continue
+        mirror = blk[:, :, r1 - r0:].transpose(0, 2, 1)
+        if odd:
+            np.subtract(0.0, mirror, out=M[:, r1:, r0:r1])
+        else:
+            M[:, r1:, r0:r1] = mirror
 
-    Row block r0:r1 computes the columns j >= r0; the entries below the
-    block are its transpose, negated when odd.  IEEE subtraction gives
-    v_j - v_i = -(v_i - v_j) exactly, so every entry is the float the full
-    elementwise formula gives (0.0 - x keeps zero entries at +0.0).  The
-    odd map at e = 1 is the plain difference, with no power to save: a
-    block fills its whole rows instead, or on one thread one numpy call
-    the table.
+
+def _pair_table(v: np.ndarray, e: float, odd: bool, threads: int) -> np.ndarray:
+    """The (B, n, n) tables |v_bi - v_bj|^e, times sign(v_bi - v_bj) when odd.
+
+    Row block r0:r1 computes the columns j >= r0 of every table in the
+    stack; the entries below the block are its transpose, negated when odd.
+    IEEE subtraction gives v_j - v_i = -(v_i - v_j) exactly, so every entry
+    is the float the full elementwise formula gives (0.0 - x keeps zero
+    entries at +0.0).  The odd map at e = 1 is the plain difference, with
+    no power to save: a block fills its whole rows instead, or on one
+    thread one numpy call the stack.  On two threads B is 1 (_stack_rows).
     """
-    n = v.size
+    B, n = v.shape
     plain = odd and e == 1.0
-    threads = _threads(n)
     if plain and threads == 1:
-        return v[:, None] - v[None, :]
-    M = np.empty((n, n))
-
-    def fill(starts, sign):
-        for r0 in starts:
-            r1 = min(r0 + _PAIR_BLOCK, n)
-            if plain:
-                np.subtract(v[r0:r1, None], v[None, :], out=M[r0:r1])
-                continue
-            blk = M[r0:r1, r0:]
-            np.subtract(v[r0:r1, None], v[None, r0:], out=blk)
-            if odd:
-                sgn = np.sign(blk, out=sign[:r1 - r0, :n - r0])
-            np.abs(blk, out=blk)
-            np.power(blk, e, out=blk)
-            if odd:
-                np.multiply(sgn, blk, out=blk)
-                np.subtract(0.0, blk[:, r1 - r0:].T, out=M[r1:, r0:r1])
-            else:
-                M[r1:, r0:r1] = blk[:, r1 - r0:].T
-
+        return v[:, :, None] - v[:, None, :]
+    M = np.empty((B, n, n))
     # the odd map's sign scratch, one per thread, so the second thread
     # allocates no array data
-    shape = (min(_PAIR_BLOCK, n), n)
-    _run_blocks(n, fill, [np.empty(shape) if odd and not plain else None
-                          for _ in range(threads)])
+    sign = np.empty((B, min(_PAIR_BLOCK, n), n)) if odd and not plain else None
+    if threads == 1:
+        _fill(M, v, e, odd, range(0, n, _PAIR_BLOCK), sign)
+    else:
+        _run_blocks(n, partial(_fill, M, v, e, odd),
+                    [sign, None if sign is None else np.empty_like(sign)])
     return M
 
 
-def _weigh(M: np.ndarray, W: np.ndarray, row_sums: bool) -> np.ndarray | None:
-    """M *= W in place, and M.sum(axis=1) if asked.
+def _weigh(M: np.ndarray, W: np.ndarray, row_sums: bool, threads: int
+           ) -> np.ndarray | None:
+    """M *= W in place (W broadcast over the stack), and M.sum(axis=-1) if asked.
 
     On two threads a block of rows at a time: a row's sum reads that row
     only, so it is the same float however the rows are grouped.  On one
     thread one numpy call each: a block loop costs a few microseconds a
     call, which shows on small tables.
     """
-    n = M.shape[0]
-    if _threads(n) == 1:
+    if threads == 1:
         np.multiply(W, M, out=M)
-        return M.sum(axis=1) if row_sums else None
-    out = np.empty(n) if row_sums else None
+        return M.sum(axis=-1) if row_sums else None
+    B, n = M.shape[:2]
+    out = np.empty((B, n)) if row_sums else None
 
     def weigh(starts, _):
         for r0 in starts:
-            rows = M[r0:r0 + _PAIR_BLOCK]
+            rows = M[:, r0:r0 + _PAIR_BLOCK]
             np.multiply(W[r0:r0 + _PAIR_BLOCK], rows, out=rows)
             if row_sums:
-                rows.sum(axis=1, out=out[r0:r0 + _PAIR_BLOCK])
+                rows.sum(axis=-1, out=out[:, r0:r0 + _PAIR_BLOCK])
 
     _run_blocks(n, weigh, [None, None])
     return out
 
 
-def seminorm_p(u, K: Kernel) -> float:
+def _stack_rows(n: int) -> int:
+    """Grid functions per stacked pair table: as many as _STACK_CAP entries hold."""
+    return max(1, _STACK_CAP // (n * n))
+
+
+def _by_stack(rows_fn, v: np.ndarray, K: Kernel) -> np.ndarray:
+    """rows_fn(rows, K, threads) over the rows of v, _stack_rows at a time.
+
+    v is one grid function (n,), taken as a stack of one, or a stack
+    (B, n); the results are joined along the first axis.
+    """
+    rows = v.reshape(-1, K.n)
+    threads = _threads(K.n)
+    step = _stack_rows(K.n)
+    if rows.shape[0] <= step:
+        return rows_fn(rows, K, threads)
+    return np.concatenate([rows_fn(rows[b:b + step], K, threads)
+                           for b in range(0, rows.shape[0], step)])
+
+
+def _interior_sums(rows: np.ndarray, K: Kernel, threads: int) -> np.ndarray:
+    """The weighted pair sums of S, one per row."""
+    M = _pair_table(rows, K.p, False, threads)
+    _weigh(M, K.W, False, threads)
+    return M.reshape(rows.shape[0], -1).sum(axis=1)
+
+
+def _pair_actions(rows: np.ndarray, K: Kernel, threads: int) -> np.ndarray:
+    """sum_j W_kj Phi_p(u_k - u_j), one row per row."""
+    return _weigh(_pair_table(rows, K.p - 1.0, True, threads), K.W, True, threads)
+
+
+def seminorm_p(u, K: Kernel):
     """S(u): the discrete Gagliardo double sum plus the exterior tail term.
 
     Returned un-rooted (the p-th power of the norm); use norm_W for the
-    norm itself.
+    norm itself.  A float for one grid function, an array of B for a stack.
     """
-    v = as_grid_function(u, K.n)
-    M = _pair_table(v, K.p, False)
-    _weigh(M, K.W, False)
-    interior = float(np.sum(M))
-    exterior = 2.0 * K.cell_weight * float(np.sum(K.tail * np.abs(v) ** K.p))
-    return interior + exterior
+    v = as_grid_stack(u, K.n)
+    interior = _by_stack(_interior_sums, v, K)
+    exterior = (K.tail * np.abs(v) ** K.p).sum(axis=-1)
+    if v.ndim == 1:
+        return float(interior[0]) + 2.0 * K.cell_weight * float(exterior)
+    return interior + 2.0 * K.cell_weight * exterior
 
 
-def norm_W(u, K: Kernel) -> float:
-    """The solution-space norm S(u)^(1/p)."""
-    return seminorm_p(u, K) ** (1.0 / K.p)
+def norm_W(u, K: Kernel):
+    """The solution-space norm S(u)^(1/p), per row for a stack.
+
+    Each row takes the scalar power of its own S, as one grid function
+    does: numpy's array power may differ from it in the last bit.
+    """
+    S = seminorm_p(u, K)
+    if isinstance(S, float):
+        return S ** (1.0 / K.p)
+    return np.array([s ** (1.0 / K.p) for s in S.tolist()])
 
 
 def apply_flap(u, K: Kernel) -> np.ndarray:
-    """Exact Euclidean gradient of seminorm_p at u.
+    """Exact Euclidean gradient of seminorm_p at u, per row for a stack.
 
     g_k = 2p [ sum_j W_kj Phi_p(u_k - u_j) + h t_k Phi_p(u_k) ], which makes
     <g, u> = p S(u) (Euler identity for the p-homogeneous S).
     """
-    v = as_grid_function(u, K.n)
-    pair = _weigh(_pair_table(v, K.p - 1.0, True), K.W, True)
+    v = as_grid_stack(u, K.n)
+    pair = _by_stack(_pair_actions, v, K).reshape(v.shape)
     return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi_p(v, K.p))
 
 

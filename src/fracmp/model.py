@@ -12,6 +12,13 @@ with primitive F(s) = integral of f from 0 to s, so F is constant below
 by sampling (the constants in the analysis are existential, so a sampled
 certificate is the honest desk-scale check), with the family's known
 asymptote f(s)/s^q -> 1 folded into the envelope search.
+
+energy and gradient take one grid function (n,) or a stack (B, n) and
+return one energy or gradient row per row.  The stack goes through the
+kernel's stacked tables and the same elementwise operations, and each sum
+over nodes is the same pairwise sum along a row, so a stacked row is the
+same bytes as the one-point call.  The input is validated once, by the
+kernel call that comes first.
 """
 from __future__ import annotations
 
@@ -57,24 +64,29 @@ def default_theta(q: float, p: float) -> float:
 
 
 def f_eval(s, nl: NonlinearitySpec):
-    """Evaluate the nonlinearity f at scalar or array s."""
+    """Evaluate the nonlinearity f at scalar or array s.
+
+    The two branches below 0 are one np.where over every entry, the branch
+    at s >= 0 is evaluated on its entries only: each kept entry is the same
+    float as on its branch alone.  A discarded entry of the np.where may
+    overflow, hence its local errstate.
+    """
     arr = np.asarray(s, dtype=float)
-    out = np.zeros_like(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(arr > -1.0, nl.f0 * (1.0 + arr), 0.0)
     pos = arr >= 0.0
-    mid = (arr < 0.0) & (arr > -1.0)
     out[pos] = arr[pos] ** nl.q + nl.f0
-    out[mid] = nl.f0 * (1.0 + arr[mid])
     return float(out) if np.isscalar(s) else out
 
 
 def F_eval(s, nl: NonlinearitySpec):
-    """Evaluate the primitive F(s) = int_0^s f."""
+    """Evaluate the primitive F(s) = int_0^s f (branches as in f_eval)."""
     arr = np.asarray(s, dtype=float)
-    out = np.full_like(arr, -nl.f0 / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(arr > -1.0, nl.f0 * (arr + arr ** 2 / 2.0), -nl.f0 / 2.0)
     pos = arr >= 0.0
-    mid = (arr < 0.0) & (arr > -1.0)
-    out[pos] = arr[pos] ** (nl.q + 1.0) / (nl.q + 1.0) + nl.f0 * arr[pos]
-    out[mid] = nl.f0 * (arr[mid] + arr[mid] ** 2 / 2.0)
+    top = arr[pos]
+    out[pos] = top ** (nl.q + 1.0) / (nl.q + 1.0) + nl.f0 * top
     return float(out) if np.isscalar(s) else out
 
 
@@ -292,31 +304,42 @@ def make_problem(grid: Grid, kernel: Kernel, V: Potential, lam: float,
     return Problem(grid=grid, kernel=kernel, V=V, lam=lam, nl=nl)
 
 
-def operator_energy(v: np.ndarray, K: Kernel, h: float, V: Potential) -> float:
-    """S(v)/p + (h/p) sum V |v|^p: the operator part of every energy."""
+def operator_energy(v: np.ndarray, K: Kernel, h: float, V: Potential):
+    """S(v)/p + (h/p) sum V |v|^p: the operator part of every energy.
+
+    seminorm_p comes first and validates v (one grid function or a stack).
+    """
     S = seminorm_p(v, K)
-    pot = h * float(np.sum(V.values * np.abs(v) ** K.p))
-    return S / K.p + pot / K.p
+    pot = h * np.sum(V.values * np.abs(v) ** K.p, axis=-1)
+    E = S / K.p + pot / K.p
+    return float(E) if v.ndim == 1 else E
 
 
 def operator_action(v: np.ndarray, K: Kernel, h: float, V: Potential) -> np.ndarray:
-    """A(v) = apply_flap(v)/p + h V Phi_p(v): the gradient of operator_energy."""
+    """A(v) = apply_flap(v)/p + h V Phi_p(v): the gradient of operator_energy.
+
+    apply_flap comes first and validates v (one grid function or a stack).
+    """
     g = apply_flap(v, K) / K.p
     g += h * V.values * phi_p(v, K.p)
     return g
 
 
-def energy(u, prob: Problem) -> float:
-    """J(u) = S(u)/p + (h/p) sum V |u|^p - lambda h sum F(u)."""
-    v = as_grid_function(u, prob.grid.n)
+def energy(u, prob: Problem):
+    """J(u) = S(u)/p + (h/p) sum V |u|^p - lambda h sum F(u).
+
+    A float for one grid function, an array of B for a stack (B, n).
+    """
+    v = np.asarray(u, dtype=float)
     J = operator_energy(v, prob.kernel, prob.h, prob.V)
-    non = prob.h * float(np.sum(F_eval(v, prob.nl)))
-    return J - prob.lam * non
+    non = prob.h * np.sum(F_eval(v, prob.nl), axis=-1)
+    J = J - prob.lam * non
+    return float(J) if v.ndim == 1 else J
 
 
 def gradient(u, prob: Problem) -> np.ndarray:
-    """Exact Euclidean gradient of energy at u."""
-    v = as_grid_function(u, prob.grid.n)
+    """Exact Euclidean gradient of energy at u, one row per row of a stack."""
+    v = np.asarray(u, dtype=float)
     g = operator_action(v, prob.kernel, prob.h, prob.V)
     g -= prob.lam * prob.h * f_eval(v, prob.nl)
     return g

@@ -27,7 +27,7 @@ from ._descent import _slack, bb_descent
 from .eigen import rayleigh
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, norm_W, seminorm_p
+from .kernel import Kernel, _stack_rows, norm_W, seminorm_p
 from .model import (
     Problem,
     energy,
@@ -53,7 +53,10 @@ class CriticalPoint:
     """A grid function with its energy, defect, classification and history.
 
     For the mountain pass, iterations counts the energy and gradient
-    evaluations the path search made plus the polish flow steps.
+    evaluations the path search made plus the polish flow steps.  An
+    evaluation is one grid function, so a stacked call counts its rows;
+    the rows of a path-scan stack after its first rejected sample are
+    discarded and not counted.
     """
 
     u: np.ndarray
@@ -264,19 +267,10 @@ def classify(cp, prob: Problem, rho: float, m: int, seed: int = 0) -> str:
     rng = np.random.default_rng(seed)
     fd_eps = 1e-5 * max(float(np.max(np.abs(u))), 1.0)
     soft = _negative_direction(u, rng.standard_normal(prob.grid.n), prob, fd_eps)
-    dirs = []
-    vals = []
-    for k in range(int(m)):
-        if k == 0:
-            xi = soft
-        elif k == 1:
-            xi = -soft
-        else:
-            xi = rng.standard_normal(prob.grid.n)
-        delta = rho * xi / norm_W(xi, prob.kernel)
-        dirs.append(delta)
-        vals.append(energy(u + delta, prob))
-    vals = np.asarray(vals)
+    xis = np.array([soft, -soft] + [rng.standard_normal(prob.grid.n)
+                                    for _ in range(int(m) - 2)])[:int(m)]
+    dirs = rho * xis / norm_W(xis, prob.kernel)[:, None]
+    vals = energy(u + dirs, prob)
     if np.all(vals > J0 + eps):
         return "local-min"
     lower = [i for i, v in enumerate(vals) if v < J0 - eps]
@@ -337,17 +331,16 @@ def _refine_maximizer(path: np.ndarray, J: np.ndarray, kmax: int,
                       prob: Problem) -> np.ndarray:
     """1-d max of the energy along the polyline near the max vertex."""
     P = path.shape[0] - 1
+    t = np.linspace(0.0, 1.0, 15 + 2)[1:-1, None]  # 15 points inside each segment
+    samples = np.concatenate([(1.0 - t) * path[ka] + t * path[kb]
+                              for ka, kb in ((kmax - 1, kmax), (kmax, kmax + 1))
+                              if ka >= 0 and kb <= P])
     best_u = path[kmax]
     best_J = J[kmax]
-    for ka, kb in ((kmax - 1, kmax), (kmax, kmax + 1)):
-        if ka < 0 or kb > P:
-            continue
-        for t in np.linspace(0.0, 1.0, 15 + 2)[1:-1]:  # 15 points inside each segment
-            w = (1.0 - t) * path[ka] + t * path[kb]
-            Jw = energy(w, prob)
-            if Jw > best_J:
-                best_J = Jw
-                best_u = w
+    for w, Jw in zip(samples, energy(samples, prob)):
+        if Jw > best_J:
+            best_J = Jw
+            best_u = w
     return best_u.copy()
 
 
@@ -362,6 +355,12 @@ def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
     re-evaluated.  With an accept test, samples are evaluated outward from
     index start and the scan stops at the first one that fails it; the
     energies are then None.  Returns (samples, energies, evaluations made).
+
+    The samples are evaluated a stack at a time (kernel._stack_rows), in
+    scan order, and the accept test runs sample by sample in that order.
+    The rows of a stack after the first failure are computed but discarded,
+    and not counted in the evaluations made.  A non-finite sample starts a
+    stack of its own, so it raises only when the scan reaches it.
     """
     P = path.shape[0] - 1
     fine = np.empty((2 * P + 1, path.shape[1]))
@@ -372,18 +371,35 @@ def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
     if accept is not None and not (accept(Jf[0]) and accept(Jf[2 * P])):
         return fine, None, 0
     order = sorted(range(1, 2 * P), key=lambda k: abs(k - start))
-    for evals, k in enumerate(order, start=1):
-        Jf[k] = energy(fine[k], prob)
-        if accept is not None and not accept(Jf[k]):
-            return fine, None, evals
-    return fine, Jf, len(order)
+    finite = np.isfinite(fine).all(axis=1)
+    # the first stack is the start sample alone: a trial scan starts where
+    # the path peaks, and most rejected trials fail right there
+    step = 1
+    made = 0
+    while made < len(order):
+        take = order[made:made + step]
+        cut = next((i for i, k in enumerate(take) if not finite[k]), len(take))
+        take = take[:max(cut, 1)]
+        Jf[take] = energy(fine[take], prob)
+        step = _stack_rows(path.shape[1])
+        for k in take:
+            made += 1
+            if accept is not None and not accept(Jf[k]):
+                return fine, None, made
+    return fine, Jf, made
 
 
 def _hessian_product(w: np.ndarray, xi: np.ndarray, prob: Problem,
                      fd_eps: float) -> np.ndarray:
-    """Central finite-difference Hessian-vector product of the energy."""
-    return (gradient(w + fd_eps * xi, prob)
-            - gradient(w - fd_eps * xi, prob)) / (2.0 * fd_eps)
+    """Central finite-difference Hessian-vector product of the energy.
+
+    xi is one direction or a stack of them; the gradients at w + eps xi and
+    w - eps xi of every direction are one stacked call.
+    """
+    step = fd_eps * np.atleast_2d(xi)
+    g = gradient(np.concatenate([w + step, w - step]), prob)
+    Hxi = (g[:len(step)] - g[len(step):]) / (2.0 * fd_eps)
+    return Hxi if np.ndim(xi) == 2 else Hxi[0]
 
 
 def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
@@ -462,7 +478,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
     res_max = np.inf
     outer = 0
     for outer in range(MP_OUTER_CAP if max_outer is None else int(max_outer)):
-        G = np.array([gradient(path[k], prob) for k in range(1, P)])
+        G = gradient(path[1:P], prob)
         evals += P - 1
         kmax = int(np.argmax(Jf[0::2]))
         k_int = min(max(kmax, 1), P - 1)
@@ -578,10 +594,10 @@ def _stable_step(w: np.ndarray, v: np.ndarray, prob: Problem, fd_eps: float) -> 
     """1/L step estimate from sampled finite-difference curvature products."""
     rng = np.random.default_rng(0)
     L = 1e-12
-    dirs = [v] + [rng.standard_normal(w.size) for _ in range(3)]
-    for xi in dirs:
-        xi = xi / max(float(np.linalg.norm(xi)), 1e-300)
-        L = max(L, float(np.linalg.norm(_hessian_product(w, xi, prob, fd_eps))))
+    dirs = [xi / max(float(np.linalg.norm(xi)), 1e-300)
+            for xi in [v] + [rng.standard_normal(w.size) for _ in range(3)]]
+    for Hxi in _hessian_product(w, np.array(dirs), prob, fd_eps):
+        L = max(L, float(np.linalg.norm(Hxi)))
     return 1.0 / L
 
 
@@ -610,30 +626,33 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
         v0 = np.ones_like(w0)
     eta0 = _stable_step(w0, v0, prob, fd_eps)
     for round_ in range(3):
-        w = w0.copy()
-        v = _negative_direction(w, v0, prob, fd_eps)
-        eta = eta0 / (3.0 ** round_)
-        since_refresh = 0
-        while it_total < POLISH_CAP:
-            g = gradient(w, prob)
-            r = float(np.linalg.norm(g) / sqrt_h)
-            it_total += 1
-            if r < r_best:
-                r_best = r
-                w_best = w.copy()
-            if r <= tol:
-                return w_best, r_best, it_total
-            step = g - 2.0 * float(g @ v) * v
-            w = w - eta * step
-            if not np.all(np.isfinite(w)):
-                break
-            since_refresh += 1
-            if since_refresh >= 40:
-                v = _negative_direction(w, v, prob, fd_eps)
-                since_refresh = 0
-                val = energy(w, prob)
-                if r > 50.0 * r_best or val > value_hi + margin or val < value_lo - margin:
-                    break  # escaped the saddle bracket; restart smaller
+        # an iterate that escapes overflows on its way out; the non-finite
+        # iterate is the restart signal, so the overflow is not reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = w0.copy()
+            v = _negative_direction(w, v0, prob, fd_eps)
+            eta = eta0 / (3.0 ** round_)
+            since_refresh = 0
+            while it_total < POLISH_CAP:
+                g = gradient(w, prob)
+                r = float(np.linalg.norm(g) / sqrt_h)
+                it_total += 1
+                if r < r_best:
+                    r_best = r
+                    w_best = w.copy()
+                if r <= tol:
+                    return w_best, r_best, it_total
+                step = g - 2.0 * float(g @ v) * v
+                w = w - eta * step
+                if not np.all(np.isfinite(w)):
+                    break
+                since_refresh += 1
+                if since_refresh >= 40:
+                    v = _negative_direction(w, v, prob, fd_eps)
+                    since_refresh = 0
+                    val = energy(w, prob)
+                    if r > 50.0 * r_best or val > value_hi + margin or val < value_lo - margin:
+                        break  # escaped the saddle bracket; restart smaller
         if r_best <= tol:
             break
     if r_best > tol:

@@ -109,6 +109,30 @@ def test_gridfn_round_trip(tmp_path):
     assert meta == {"n": 11, "a": -0.5, "b": 1.5}
 
 
+def test_gridfn_round_trip_any_finite_floats(tmp_path):
+    # every finite double, -0.0 and subnormals included, survives the 17
+    # significant digits of the file format bit for bit
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from((-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                       1e308, -1e308, 1.7976931348623157e308)))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(values=st.lists(value, min_size=1, max_size=40),
+               a=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6))
+    def check(values, a, width):
+        g = build_grid(a, a + width, len(values))
+        u = np.array(values)
+        path = tmp_path / "u.txt"
+        write_gridfn(path, u, g)
+        back, meta = read_gridfn(path)
+        assert back.tobytes() == u.tobytes()
+        assert meta == {"n": g.n, "a": g.a, "b": g.b}
+
+    check()
+
+
 def test_gridfn_read_rejects_corrupt_files(tmp_path):
     g = build_grid(0.0, 1.0, 3)
     path = tmp_path / "u.txt"

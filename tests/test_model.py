@@ -327,6 +327,40 @@ def test_gradient_directional_derivatives():
             assert dd == pytest.approx(float(g @ phi), rel=1e-5, abs=1e-7)
 
 
+def test_gradient_matches_finite_differences_property():
+    # directional central differences of the energy at random points, for
+    # p at, below and above the smooth p = 2, the three signs of f(0), and
+    # points drawn from a few values, so that many pair differences vanish
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    problems = {}
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(n=st.integers(2, 40), p=st.sampled_from((1.5, 2.0, 2.5, 3.0)),
+               f0=st.sampled_from((-0.5, 0.0, 1.0)), seed=st.integers(0, 2 ** 32 - 1),
+               scale=st.floats(0.05, 3.0), tied=st.booleans())
+    def check(n, p, f0, seed, scale, tied):
+        key = (n, p, f0)
+        if key not in problems:
+            problems[key] = _problem(n=n, s=0.9 / (p + 0.5), p=p, q=p + 0.5, f0=f0)
+        prob = problems[key]
+        rng = np.random.default_rng(seed)
+        if tied:
+            u = scale * rng.integers(-2, 3, n) / 2.0
+        else:
+            u = scale * rng.standard_normal(n)
+        g = gradient(u, prob)
+        eps = 1e-6 * scale
+        for _ in range(3):
+            phi = rng.standard_normal(n)
+            phi /= float(np.linalg.norm(phi))
+            dd = (energy(u + eps * phi, prob) - energy(u - eps * phi, prob)) / (2.0 * eps)
+            assert dd == pytest.approx(float(g @ phi), rel=1e-4,
+                                       abs=1e-6 * (1.0 + float(np.linalg.norm(g))))
+
+    check()
+
+
 def test_gradient_chain_rule_identity():
     # d/dt J(t u) at t = 1 equals <gradient(u), u>
     prob = _problem(n=30)

@@ -9,6 +9,7 @@ frozen iterates.
 
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -332,10 +333,11 @@ def test_saddle_polish_restarts_then_newton_fallback(monkeypatch, caplog):
 
     monkeypatch.setattr(fracmp.solve, "_negative_direction", spy)
     caplog.set_level(logging.INFO, logger="fracmp.solve")
-    # the flow diverges before a restart, and gradient warns on the overflow
-    with pytest.warns(RuntimeWarning) as record:
+    # the flow diverges before a restart; its overflow is the restart
+    # signal and reaches no one as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cp = mountain_pass(prob, e0, e1, tol=1e-6, seed=0, constants=consts)
-    assert any(w.filename.endswith("model.py") for w in record)
     # each round starts its direction estimate at the path maximizer
     assert sum(np.array_equal(w, rotated_at[0]) for w in rotated_at) == 3
     notes = [r.getMessage() for r in caplog.records
