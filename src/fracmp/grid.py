@@ -58,15 +58,13 @@ def as_grid_function(u, n: int) -> np.ndarray:
     v = np.asarray(u, dtype=float)
     if v.shape != (n,):
         raise UsageError("grid function has shape %r, expected (%d,)" % (v.shape, n))
-    if not np.all(np.isfinite(v)):
-        raise UsageError("grid function contains non-finite values")
-    return v
+    return as_grid_stack(v, n)
 
 
 def as_grid_stack(u, n: int) -> np.ndarray:
-    """Validate u as one grid function (n,) or a stack of them (B, n)."""
+    """Validate u as one grid function (n,) or a stack of B >= 1 of them (B, n)."""
     v = np.asarray(u, dtype=float)
-    if v.shape != (n,) and (v.ndim != 2 or v.shape[1] != n):
+    if v.shape != (n,) and (v.ndim != 2 or v.shape[1] != n or not v.shape[0]):
         raise UsageError("grid function has shape %r, expected (%d,) or (B, %d)"
                          % (v.shape, n, n))
     if not np.isfinite(v).all():

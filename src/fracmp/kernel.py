@@ -24,10 +24,10 @@ table: the same row-block loop, with every slice taken across the stack,
 W broadcast over it, and each row's sums read along that row, so every row
 of a stacked result is the same bytes as the call on that row alone.  One
 grid function is the stack of one row, through the same code.  Stacks form
-while B * n * n stays within _STACK_CAP = 2^17 entries (1 MiB); a longer
-stack is cut into stacks of that size.  At n = 96 and p = 2 a stack of 14
-costs about 40 (seminorm_p) and 30 us (apply_flap) a point, against 60 and
-45 us for one point (tools/kernel_timing.py); from n = 363 on a stack is
+while B * n * n stays within _STACK_CAP = 2^16 entries (512 KiB); a longer
+stack is cut into stacks of that size.  At n = 96 and p = 2 a stack of 7
+costs about 32 (seminorm_p) and 26 us (apply_flap) a point, against 43 and
+31 us for one point (tools/kernel_timing.py); from n = 182 on a stack is
 one row, so the two-thread path below always sees one row.
 
 From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, and when the process may
@@ -71,11 +71,12 @@ _PAIR_BLOCK = 128
 # From this many rows on, two threads share the row blocks of a table;
 # below it one thread is faster (tools/kernel_timing.py).
 _PARALLEL_ROWS = 4 * _PAIR_BLOCK
-# Entries (B * n * n) of one stacked pair table, 1 MiB: a longer stack of
+# Entries (B * n * n) of one stacked pair table, 512 KiB: a longer stack of
 # grid functions is cut into stacks of this size.  At n = 96 the cost per
 # point is level from 2^16 to 2^17 and rises at 2^18 (tools/kernel_timing.py);
-# 2^17 evaluates the mountain pass's 41 path samples in three stacks.
-_STACK_CAP = 1 << 17
+# the larger cap only holds a larger table resident (the sweep-p2-n96
+# benchmark's peak RSS rose 1.08 MB at 2^17, 0.59 MB at 2^16).
+_STACK_CAP = 1 << 16
 # CPUs this process may run on: one keeps every table on one thread.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
@@ -212,7 +213,7 @@ def _run_taken(args: list) -> None:
     work(starts, scratch)
 
 
-def _fill(M: np.ndarray, v: np.ndarray, e: float, odd: bool, starts, sign) -> None:
+def _fill(M: np.ndarray, v: np.ndarray, e: float, odd: bool, starts, neg) -> None:
     """Fill the row blocks at starts of the stacked pair table M (see _pair_table)."""
     n = v.shape[1]
     for r0 in starts:
@@ -223,11 +224,12 @@ def _fill(M: np.ndarray, v: np.ndarray, e: float, odd: bool, starts, sign) -> No
         blk = M[:, r0:r1, r0:]
         np.subtract(v[:, r0:r1, None], v[:, None, r0:], out=blk)
         if odd:
-            sgn = np.sign(blk, out=sign[:, :r1 - r0, :n - r0])
+            sgn = np.less(blk, 0.0, out=neg[:, :r1 - r0, :n - r0])
+            np.negative(sgn, out=sgn)
         np.abs(blk, out=blk)
         np.power(blk, e, out=blk)
         if odd:
-            np.multiply(sgn, blk, out=blk)
+            np.copysign(blk, sgn, out=blk)
         if r1 == n:
             continue
         mirror = blk[:, :, r1 - r0:].transpose(0, 2, 1)
@@ -244,23 +246,27 @@ def _pair_table(v: np.ndarray, e: float, odd: bool, threads: int) -> np.ndarray:
     stack; the entries below the block are its transpose, negated when odd.
     IEEE subtraction gives v_j - v_i = -(v_i - v_j) exactly, so every entry
     is the float the full elementwise formula gives (0.0 - x keeps zero
-    entries at +0.0).  The odd map at e = 1 is the plain difference, with
-    no power to save: a block fills its whole rows instead, or on one
-    thread one numpy call the stack.  On two threads B is 1 (_stack_rows).
+    entries at +0.0).  The odd map takes the sign of |v_bi - v_bj|^e from a
+    one-byte -1/0 mask of the negative differences: that is sign(d) |d|^e to
+    the bit, zero entries included, as sign(-0.0) is +0.0.  The odd map at
+    e = 1 is the plain difference, with no power to save: a block fills its
+    whole rows instead, or on one thread one numpy call the stack.  On two
+    threads B is 1 (_stack_rows).
     """
     B, n = v.shape
     plain = odd and e == 1.0
     if plain and threads == 1:
         return v[:, :, None] - v[:, None, :]
     M = np.empty((B, n, n))
-    # the odd map's sign scratch, one per thread, so the second thread
+    # the odd map's one-byte sign mask, one per thread, so the second thread
     # allocates no array data
-    sign = np.empty((B, min(_PAIR_BLOCK, n), n)) if odd and not plain else None
+    neg = (np.empty((B, min(_PAIR_BLOCK, n), n), dtype=np.int8)
+           if odd and not plain else None)
     if threads == 1:
-        _fill(M, v, e, odd, range(0, n, _PAIR_BLOCK), sign)
+        _fill(M, v, e, odd, range(0, n, _PAIR_BLOCK), neg)
     else:
         _run_blocks(n, partial(_fill, M, v, e, odd),
-                    [sign, None if sign is None else np.empty_like(sign)])
+                    [neg, None if neg is None else np.empty_like(neg)])
     return M
 
 

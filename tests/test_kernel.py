@@ -275,7 +275,7 @@ def _pair_inputs(st):
     """(n, p, seed, levels, scale): sizes around the block, p below, at and
     above 2, and the p where the power is a square or a square root
     (p = 1.5, 2, 3); levels > 0 draws u from a few values, so many
-    differences are 0."""
+    differences are 0, and about a tenth of the entries of u are -0.0."""
     p = st.one_of(st.floats(1.05, 1.95), st.sampled_from((1.5, 2.0, 3.0)),
                   st.floats(2.05, 4.0))
     return st.tuples(st.sampled_from(_SIZES), p, st.integers(0, 2 ** 32 - 1),
@@ -285,8 +285,11 @@ def _pair_inputs(st):
 def _draw_u(n, seed, levels, scale):
     rng = np.random.default_rng(seed)
     if levels:
-        return scale * rng.integers(-levels, levels + 1, n) / levels
-    return scale * rng.standard_normal(n)
+        u = scale * rng.integers(-levels, levels + 1, n) / levels
+    else:
+        u = scale * rng.standard_normal(n)
+    u[rng.random(n) < 0.1] = -0.0
+    return u
 
 
 def _kernel(n, p):

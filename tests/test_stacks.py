@@ -108,11 +108,15 @@ def test_one_point_keeps_its_types():
 def test_stack_validation():
     prob = _problem(96, 2.0)
     U = _stack(3, 96, 5, 0)
-    for bad in (U[:, :95], U[None], np.float64(1.0)):
+    for bad in (U[:, :95], U[None], U[:0], np.float64(1.0)):
         with pytest.raises(UsageError, match="shape"):
             energy(bad, prob)
         with pytest.raises(UsageError, match="shape"):
             gradient(bad, prob)
+        with pytest.raises(UsageError, match="shape"):
+            seminorm_p(bad, prob.kernel)
+        with pytest.raises(UsageError, match="shape"):
+            apply_flap(bad, prob.kernel)
     U[2, 7] = np.nan
     with pytest.raises(UsageError, match="non-finite"):
         energy(U, prob)

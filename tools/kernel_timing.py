@@ -1,7 +1,6 @@
 """Per-call time of the pair-table kernels: threads, and stacks of points.
 
 usage: PYTHONPATH=src python tools/kernel_timing.py [--repeats R] [--sizes N,N,...]
-                                                    [--stack-sizes N,N,...]
 
 The first table prints, for p = 2 and p = 2.5 and each n, the median time
 in microseconds of seminorm_p and apply_flap on a fixed random vector,
@@ -11,7 +10,7 @@ size threshold in fracmp.kernel says.  This is how the threshold
 _PARALLEL_ROWS is chosen and checked.  On a host with one usable CPU both
 columns time the one-thread path.
 
-The second table prints, for each n of --stack-sizes, the median time per
+The second table prints, for n = 96, 192 and 384, the median time per
 point of seminorm_p and apply_flap on a stack of B random points: at
 B = 1, and at the B that each candidate stack cap (B * n * n table
 entries, 2^15 to 2^18) allows, with kernel._STACK_CAP set to that cap.
@@ -94,13 +93,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
-    parser.add_argument("--stack-sizes", default=",".join(map(str, STACK_SIZES)))
     args = parser.parse_args(argv)
-    sizes = [int(x) for x in args.sizes.split(",") if x]
-    stack_sizes = [int(x) for x in args.stack_sizes.split(",") if x]
-    if sizes:
-        print("%-4s %6s | %22s | %22s" % ("p", "n", "seminorm_p us", "apply_flap us"))
-        print("%-4s %6s | %10s %11s | %10s %11s" % ("", "", "2 thr", "1 thr", "2 thr", "1 thr"))
+    sizes = [int(x) for x in args.sizes.split(",")]
+    print("%-4s %6s | %22s | %22s" % ("p", "n", "seminorm_p us", "apply_flap us"))
+    print("%-4s %6s | %10s %11s | %10s %11s" % ("", "", "2 thr", "1 thr", "2 thr", "1 thr"))
     for p in EXPONENTS:
         for n in sizes:
             K = kernel.assemble_kernel(build_grid(0.0, 1.0, n), 0.9 / (p + 0.5), p)
@@ -109,12 +105,11 @@ def main(argv=None) -> int:
             flap = _time_pair(lambda: kernel.apply_flap(u, K), n, args.repeats)
             print("%-4g %6d | %10.1f %11.1f | %10.1f %11.1f"
                   % (p, n, sem[0], sem[1], flap[0], flap[1]))
-    if stack_sizes:
-        print()
-        print("%-4s %6s %8s %5s | %16s %16s" % ("p", "n", "cap", "B", "seminorm_p us/pt",
-                                               "apply_flap us/pt"))
+    print()
+    print("%-4s %6s %8s %5s | %16s %16s" % ("p", "n", "cap", "B", "seminorm_p us/pt",
+                                           "apply_flap us/pt"))
     for p in EXPONENTS:
-        for n in stack_sizes:
+        for n in STACK_SIZES:
             K = kernel.assemble_kernel(build_grid(0.0, 1.0, n), 0.9 / (p + 0.5), p)
             for cap, B, sem, flap in _time_stacks(K, n, args.repeats):
                 label = "-" if cap is None else "2^%d%s" % (
