@@ -77,7 +77,8 @@ _PARALLEL_ROWS = 4 * _PAIR_BLOCK
 # the larger cap only holds a larger table resident (the sweep-p2-n96
 # benchmark's peak RSS rose 1.08 MB at 2^17, 0.59 MB at 2^16).
 _STACK_CAP = 1 << 16
-# CPUs this process may run on: one keeps every table on one thread.
+# CPUs this process may run on: one keeps every table on one thread, and a
+# sweep's rows in this process (sweep._row_workers).
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 # The second thread; the pool starts it on the first submit.  A thread

@@ -4,17 +4,21 @@ One sweep solves the eigenproblem once, certifies the threshold constants
 once, then runs the mountain-pass search and the second-solution scan at
 every lambda of a geometric grid (``solve_lambda``, which ``fracmp solve``
 runs at its one lambda), recording norms, the energy value and window
-flags per lambda.  Scaling exponents are recovered by ordinary
-least squares on the log-log data.
+flags per lambda.  The lambdas are independent rows, solved in worker
+processes when more than one CPU is usable (_row_workers).  Scaling
+exponents are recovered by ordinary least squares on the log-log data.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
+from . import kernel
 from .config import Config, lambdas, load_potential, validate_config
 from .eigen import first_eigenpair
 from .errors import ConfigurationError, ExportError, FracmpError, UsageError
@@ -158,8 +162,60 @@ def solve_lambda(cfg: Config, prob: Problem, phi1, consts: ScalingConstants,
     return cp, second
 
 
+def _sweep_row(cfg: Config, parts, phi1, consts: ScalingConstants, item):
+    """Row i of the sweep, item = (i, lam): (record, (lam, first, second)).
+
+    A FracmpError makes a failed record, with no solutions, that names the
+    error's class; any other error propagates.
+    """
+    i, lam = item
+    lam = float(lam)
+    grid, kern, V, nl = parts
+    in1 = lam < consts.lam_hat1
+    in2 = lam < consts.lam_hat2
+    prob = make_problem(grid, kern, V, lam, nl)
+    try:
+        cp, second = solve_lambda(cfg, prob, phi1, consts, i)
+        rec = SweepRecord(
+            lam=lam,
+            norm_W=norm_W(cp.u, kern),
+            norm_inf=float(np.max(np.abs(cp.u))),
+            energy=cp.value,
+            residual=cp.residual,
+            positive=bool(np.min(cp.u) > 0.0),
+            distinct_count=1 + (1 if second is not None else 0),
+            in_hat1=in1, in_hat2=in2)
+    except FracmpError as exc:
+        return SweepRecord(lam=lam, norm_W=float("nan"), norm_inf=float("nan"),
+                           energy=float("nan"), residual=float("nan"),
+                           positive=False, distinct_count=0,
+                           in_hat1=in1, in_hat2=in2,
+                           error="%s: %s" % (type(exc).__name__, exc)), (lam, None, None)
+    return rec, (lam, cp, second)
+
+
+def _row_workers(rows: int, n: int) -> int:
+    """Worker processes for a sweep of this many rows at grid size n.
+
+    0 runs the rows in this process.  Rows run in forked processes when
+    fork exists and this process may use more than one CPU, but only while
+    the pair tables stay on one thread (n below kernel._PARALLEL_ROWS), so
+    row processes and the two-thread tables never share the cores.
+    """
+    workers = min(rows, kernel._CPUS)
+    if not hasattr(os, "fork") or workers < 2 or kernel._threads(n) != 1:
+        return 0
+    return workers
+
+
 def sweep(cfg: Config, progress=None) -> SweepResult:
-    """Run the full lambda sweep described by a validated config."""
+    """Run the full lambda sweep described by a validated config.
+
+    The rows are independent (each seeded by its index), so they may run in
+    worker processes (_row_workers); they come back in lambda order, and
+    every row is the same bytes either way.  progress(record) is called in
+    this process, in lambda order.
+    """
     lams = lambdas(cfg)
     if len(lams) < 4:
         raise UsageError("sweep needs >= 4 lambda points, got %d" % len(lams))
@@ -167,37 +223,30 @@ def sweep(cfg: Config, progress=None) -> SweepResult:
     if span < 10.0:
         raise UsageError("sweep lambda grid must span >= 1 decade, got %.3g" % span)
     parts = assemble(cfg)
-    grid, kern, V, nl = parts
     eig, _, consts = certify(cfg, parts, float(lams[0]))
+    row = partial(_sweep_row, cfg, parts, eig.phi1, consts)
 
     records: list[SweepRecord] = []
     solutions: list[tuple[float, CriticalPoint | None, CriticalPoint | None]] = []
-    for i, lam in enumerate(lams):
-        lam = float(lam)
-        in1 = lam < consts.lam_hat1
-        in2 = lam < consts.lam_hat2
-        prob = make_problem(grid, kern, V, lam, nl)
-        try:
-            cp, second = solve_lambda(cfg, prob, eig.phi1, consts, i)
-            rec = SweepRecord(
-                lam=lam,
-                norm_W=norm_W(cp.u, kern),
-                norm_inf=float(np.max(np.abs(cp.u))),
-                energy=cp.value,
-                residual=cp.residual,
-                positive=bool(np.min(cp.u) > 0.0),
-                distinct_count=1 + (1 if second is not None else 0),
-                in_hat1=in1, in_hat2=in2)
-            solutions.append((lam, cp, second))
-        except FracmpError as exc:
-            rec = SweepRecord(lam=lam, norm_W=float("nan"), norm_inf=float("nan"),
-                              energy=float("nan"), residual=float("nan"),
-                              positive=False, distinct_count=0,
-                              in_hat1=in1, in_hat2=in2, error=str(exc))
-            solutions.append((lam, None, None))
-        records.append(rec)
-        if progress is not None:
-            progress(rec)
+    workers = _row_workers(len(lams), cfg.n)
+    pool = None
+    if workers:
+        # imported here: solve, eigen and a one-CPU sweep never load it.
+        # fork, not spawn: a spawned worker would import numpy and scipy
+        # again before its first row (kernel._new_pool gives a forked one
+        # its own pair-table thread)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        for rec, sol in (pool.map if pool else map)(row, enumerate(lams)):
+            records.append(rec)
+            solutions.append(sol)
+            if progress is not None:
+                progress(rec)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     good = [r for r in records if r.ok]
     fit = None

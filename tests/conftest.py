@@ -6,6 +6,7 @@ constants are session scoped because they are expensive relative to the
 rest of the suite and every consumer treats them as read-only.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -21,6 +22,14 @@ from fracmp import (
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    # a sweep's row processes end with the call that started them
+    yield
+    left = multiprocessing.active_children()
+    assert not left, "processes left running: %r" % left
 
 
 @pytest.fixture(scope="session")

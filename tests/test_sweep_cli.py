@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracmp.cli
 from fracmp import (
     CSV_HEADER,
     ConfigurationError,
@@ -350,21 +351,29 @@ SMALL_SWEEP = SMALL.replace("lambda = 0.5",
                             "lambda_start = 0.05\nlambda_stop = 0.8\nlambda_count = 4")
 
 
-def test_cli_sweep_failed_rows(tmp_path, capsys, monkeypatch):
-    real = sweep_module.mountain_pass
-    calls = []
+SWEEP_LAMS = np.geomspace(0.05, 0.8, 4)
 
-    def second_fails(prob, *args, **kwargs):
-        calls.append(prob.lam)
-        if len(calls) == 2:
-            raise SolverError("mountain pass stalled")
+
+def _fail_at(monkeypatch, lam, error=SolverError):
+    # fails the row of one lambda (every row when lam is None); the rows may
+    # run in forked processes, which share no state with this one but the
+    # patch itself
+    real = sweep_module.mountain_pass
+
+    def mountain_pass(prob, *args, **kwargs):
+        if lam is None or prob.lam == lam:
+            raise error("mountain pass stalled")
         return real(prob, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_module, "mountain_pass", second_fails)
+    monkeypatch.setattr(sweep_module, "mountain_pass", mountain_pass)
+
+
+def test_cli_sweep_failed_rows(tmp_path, capsys, monkeypatch):
+    _fail_at(monkeypatch, SWEEP_LAMS[1])
     out = tmp_path / "out"
     assert main(["sweep", _write(tmp_path, SMALL_SWEEP), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "lambda=%.6g: FAILED (mountain pass stalled)" % calls[1]
+    assert lines[1] == "lambda=%.6g: FAILED (SolverError: mountain pass stalled)" % SWEEP_LAMS[1]
     rows = load_records(str(out / "sweep.csv"))
     assert all(math.isnan(rows[1][k]) for k in ("norm_W", "norm_inf", "energy", "residual"))
     assert rows[1]["distinct_count"] == 0 and rows[1]["positive"] is False
@@ -372,15 +381,68 @@ def test_cli_sweep_failed_rows(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_sweep_every_row_failed_exits_1(tmp_path, capsys, monkeypatch):
-    def fails(*args, **kwargs):
-        raise SolverError("mountain pass stalled")
-
-    monkeypatch.setattr(sweep_module, "mountain_pass", fails)
+    _fail_at(monkeypatch, None)
     out = tmp_path / "out"
     assert main(["sweep", _write(tmp_path, SMALL_SWEEP), "--out", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert sum(ln.endswith(": FAILED (mountain pass stalled)") for ln in lines) == 4
+    assert sum(ln.endswith(": FAILED (SolverError: mountain pass stalled)")
+               for ln in lines) == 4
     assert [r["distinct_count"] for r in load_records(str(out / "sweep.csv"))] == [0] * 4
+
+
+def _cli_sweep(tmp_path, capsys, monkeypatch, cpus):
+    """CLI sweep with cpus usable CPUs: (records, CSV rows, stdout, solutions)."""
+    monkeypatch.setattr(sweep_module.kernel, "_CPUS", cpus)
+    results = []
+
+    def keep(*args, **kwargs):
+        results.append(sweep(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(fracmp.cli, "sweep", keep)
+    out = tmp_path / ("out%d" % cpus)
+    main(["sweep", _write(tmp_path, SMALL_SWEEP), "--out", str(out)])
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    csv = [ln for ln in (out / "sweep.csv").read_text().splitlines()
+           if not ln.startswith("#")]
+    solutions = [(lam, [None if cp is None else cp.u.tobytes() for cp in pair])
+                 for lam, *pair in results[0].solutions]
+    return results[0].records, csv, stdout, solutions
+
+
+@pytest.mark.parametrize("failing", [None, 1], ids=["all-rows-solve", "one-row-fails"])
+def test_sweep_rows_in_processes_equal_serial(tmp_path, capsys, monkeypatch, failing):
+    if failing is not None:
+        _fail_at(monkeypatch, SWEEP_LAMS[failing])
+    serial = _cli_sweep(tmp_path, capsys, monkeypatch, 1)
+    parallel = _cli_sweep(tmp_path, capsys, monkeypatch, 2)
+    assert sweep_module._row_workers(4, 32) == 2  # the second run used two processes
+    # NaN fields of a failed row compare unequal: compare their text
+    assert repr(parallel[0]) == repr(serial[0])
+    assert parallel[1:] == serial[1:]
+    assert len(serial[3]) == 4
+    assert [cps[0] is None for _, cps in serial[3]] == [i == failing for i in range(4)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_unexpected_error_propagates(tmp_path, monkeypatch, cpus):
+    # not a FracmpError: no failed row, and not hidden behind the pool's
+    # own errors; no row process outlives the call (conftest)
+    monkeypatch.setattr(sweep_module.kernel, "_CPUS", cpus)
+    _fail_at(monkeypatch, SWEEP_LAMS[2], RuntimeError)
+    with pytest.raises(RuntimeError, match="mountain pass stalled") as err:
+        sweep(parse_config(_write(tmp_path, SMALL_SWEEP)))
+    # from a worker process, the error carries the worker's traceback
+    remote = type(err.value.__cause__).__name__ == "_RemoteTraceback"
+    assert remote == (cpus == 2)
+
+
+@pytest.mark.parametrize("cpus, n, workers", [(1, 32, 0), (2, 32, 2), (8, 32, 4),
+                                              (2, 511, 2), (2, 512, 0)])
+def test_row_workers(monkeypatch, cpus, n, workers):
+    # processes only while the pair tables stay on one thread
+    monkeypatch.setattr(sweep_module.kernel, "_CPUS", cpus)
+    assert sweep_module._row_workers(4, n) == workers
 
 
 def test_cli_verify_mountain_pass_honours_cap(tmp_path, capsys, monkeypatch):
