@@ -80,14 +80,14 @@ def _emit_report(report: dict, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise ExportError("cannot write report %s" % path, path) from exc
+        raise ExportError("cannot write report (%s)" % exc.strerror, path) from exc
 
 
 def _write_solution(u, grid, path: str) -> str:
     try:
         write_gridfn(path, u, grid)
     except OSError as exc:
-        raise ExportError("cannot write solution %s" % path, path) from exc
+        raise ExportError("cannot write solution (%s)" % exc.strerror, path) from exc
     return path
 
 

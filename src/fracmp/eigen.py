@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ._descent import bb_descent
 from .errors import PreconditionError, SolverError, UsageError
@@ -106,8 +105,11 @@ def inverse_power_lambda1(K: Kernel, grid: Grid, tol: float = 1e-12) -> float:
     """p = 2 cross-check: inverse power iteration on the assembled pencil.
 
     Solves G v = mu h v for the smallest mu via repeated Cholesky solves;
-    independent of the projected-descent path through the code.
+    independent of the projected-descent path through the code.  scipy
+    is imported here, so that only this oracle loads it.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     if K.p != 2.0:
         raise UsageError("inverse power iteration applies at p = 2 only")
     G = quadratic_form_matrix(K)

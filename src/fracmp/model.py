@@ -22,10 +22,10 @@ kernel call that comes first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConfigurationError,
@@ -148,16 +148,37 @@ def validate_H1(nl: NonlinearitySpec, p: float, s: float) -> tuple[float, float]
     return A, B
 
 
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_REFINE_XTOL = 1e-12
+
+
 def _refine_minimum(func, grid: np.ndarray, coarse_min_idx: int) -> float:
-    """Polish a sampled minimum with a bounded scalar search."""
+    """Polish a sampled minimum by golden-section search on Python floats.
+
+    The bracket is the two samples next to the best one; it shrinks by the
+    golden ratio per step until it is at most _REFINE_XTOL wide.  The step
+    count is fixed in advance, so the search also ends where floats are
+    coarser than the tolerance.  The best sample guards the result.
+    """
     i = coarse_min_idx
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi <= lo:
-        return float(func(grid[i]))
-    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(min(func(grid[i]), res.fun))
+    best = float(func(grid[i]))
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, len(grid) - 1)])
+    if b <= a:
+        return best
+    steps = max(0, math.ceil(math.log(_REFINE_XTOL / (b - a)) / math.log(1.0 - _GOLDEN)))
+    c, d = a + _GOLDEN * (b - a), b - _GOLDEN * (b - a)
+    fc, fd = float(func(c)), float(func(d))
+    for _ in range(steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = a + _GOLDEN * (b - a)
+            fc = float(func(c))
+        else:
+            a, c, fc = c, d, fd
+            d = b - _GOLDEN * (b - a)
+            fd = float(func(d))
+    return min(best, fc, fd)
 
 
 def validate_AR(nl: NonlinearitySpec, p: float) -> float:

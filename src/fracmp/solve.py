@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from ._descent import _slack, bb_descent
 from .eigen import rayleigh
@@ -669,7 +668,13 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
 
 
 def _newton_fallback(w0: np.ndarray, prob: Problem, tol: float) -> np.ndarray | None:
-    """Jacobian-free Newton-Krylov root solve of the gradient system."""
+    """Jacobian-free Newton-Krylov root solve of the gradient system.
+
+    scipy is imported here, outside the try, so that only this fallback
+    loads it and a missing scipy is an error rather than a failed root.
+    """
+    from scipy import optimize
+
     sqrt_h = np.sqrt(prob.h)
 
     def fun(z):

@@ -232,7 +232,7 @@ def sweep(cfg: Config, progress=None) -> SweepResult:
     pool = None
     if workers:
         # imported here: solve, eigen and a one-CPU sweep never load it.
-        # fork, not spawn: a spawned worker would import numpy and scipy
+        # fork, not spawn: a spawned worker would import numpy and fracmp
         # again before its first row (kernel._new_pool gives a forked one
         # its own pair-table thread)
         import multiprocessing
@@ -302,7 +302,7 @@ def export(records, fmt: str, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        raise ExportError("cannot write %s: %s" % (path, exc), path) from exc
+        raise ExportError("cannot write (%s)" % exc.strerror, path) from exc
 
 
 def load_records(path: str) -> list[dict]:
@@ -314,7 +314,7 @@ def load_records(path: str) -> list[dict]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ExportError("cannot read %s: %s" % (path, exc), path) from exc
+        raise ExportError("cannot read (%s)" % exc.strerror, path) from exc
     fields = CSV_HEADER.split(",")
     if path.endswith(".json"):
         body = json.loads(text)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from fracmp import model
 from fracmp import (
     ConfigurationError,
     ExponentWindowError,
@@ -179,6 +180,72 @@ def test_min_sf_values():
     # s f(s) = s + s^2 on (-1, 0): minimum -1/4 at s = -1/2
     assert min_sf(_spec(f0=1.0)) == pytest.approx(-0.25, abs=1e-10)
     assert min_sf(_spec(f0=0.0)) == pytest.approx(0.0, abs=1e-12)
+
+
+def _scipy_refine(func, grid, i):
+    """The polish as scipy's bounded Brent search on the same bracket."""
+    from scipy.optimize import minimize_scalar
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    if hi <= lo:
+        return float(func(grid[i]))
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    return float(min(func(grid[i]), res.fun))
+
+
+def test_certificate_minima_match_scipy_bounded_search_property():
+    # validate_AR and min_sf against the same sampled minimum polished by
+    # scipy instead of the golden-section search.  theta stays below q + 1,
+    # where the deficit's s^(q+1) terms cancel and leave float noise of
+    # their size, on which two searches need not agree.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    grid = model._AR_SAMPLES
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(p=st.sampled_from((1.5, 2.0, 2.5, 3.0)), q_at=st.floats(0.01, 0.99),
+               f0=st.floats(-0.9, 2.0), theta_at=st.floats(0.01, 0.99))
+    def check(p, q_at, f0, theta_at):
+        lo, hi = exponent_window(p, 0.9 / (p + 0.5))
+        q = lo + q_at * (hi - lo)
+        nl = _spec(q=q, f0=f0, theta=p + theta_at * (q + 1.0 - p))
+        try:
+            K = validate_AR(nl, p)
+        except HypothesisError:
+            hyp.assume(False)
+
+        def deficit(t):
+            return t * f_eval(t, nl) - nl.theta * F_eval(t, nl)
+
+        def sf(t):
+            return t * f_eval(t, nl)
+
+        for got, func in ((K, deficit), (min_sf(nl), sf)):
+            want = _scipy_refine(func, grid, int(np.argmin(func(grid))))
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    check()
+
+
+def test_refine_minimum_finds_quadratic_minimum_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(a=st.floats(0.01, 1e3), c_at=st.floats(0.0, 1.0), d=st.floats(-10.0, 10.0),
+               start=st.floats(-50.0, 50.0), width=st.floats(1e-3, 10.0),
+               m=st.integers(3, 200))
+    def check(a, c_at, d, start, width, m):
+        grid = np.linspace(start, start + width, m)
+        c = start + c_at * width
+
+        def quad(x):
+            return a * (x - c) ** 2 + d
+
+        i = int(np.argmin(quad(grid)))
+        assert grid[max(i - 1, 0)] <= c <= grid[min(i + 1, m - 1)]
+        assert model._refine_minimum(quad, grid, i) == pytest.approx(d, abs=1e-12)
+
+    check()
 
 
 def test_make_nonlinearity_certifies_everything():

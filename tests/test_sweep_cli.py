@@ -8,6 +8,9 @@ CLI through in-process main() calls on small instances.
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +149,15 @@ def test_export_bad_directory(tmp_path):
     with pytest.raises(ExportError) as err:
         export(_records(), "csv", target)
     assert err.value.path == target
+    assert str(err.value).count(target) == 1
+
+
+def test_load_records_missing_file_names_path_once(tmp_path):
+    target = str(tmp_path / "absent.csv")
+    with pytest.raises(ExportError) as err:
+        load_records(target)
+    assert err.value.path == target
+    assert str(err.value).count(target) == 1
 
 
 def test_export_bad_format(tmp_path):
@@ -224,6 +236,17 @@ def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
                              "lambda_start = 0.05\nlambda_stop = 0.8\nlambda_count = 4")
     assert main([command, _write(tmp_path, text), "--out", str(taken)]) == 2
     assert "cannot create output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked, what", [("phi1.txt", "cannot write solution"),
+                                            ("eigen_report.json", "cannot write report")])
+def test_cli_unwritable_output_names_path_once(tmp_path, capsys, blocked, what):
+    # a directory where the output file should go makes its open() fail
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["eigen", _write(tmp_path, SMALL), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert what in err and err.count(str(out / blocked)) == 1
 
 
 def test_cli_solve_bad_ref_exits_2(tmp_path, capsys, monkeypatch):
@@ -458,3 +481,27 @@ def test_cli_verify_mountain_pass_honours_cap(tmp_path, capsys, monkeypatch):
     main(["verify", _write(tmp_path, SMALL + "mp_iter_cap = 3\n")])
     assert caps == [3]
     assert "mountain pass" in capsys.readouterr().out
+
+
+# Run in a fresh interpreter: the test session itself holds scipy for its
+# oracles.  One CPU keeps the sweep's rows in this process, where they show.
+_NO_SCIPY_RUN = """
+import sys
+import fracmp
+import fracmp.cli
+fracmp.kernel._CPUS = 1
+cfg, sweep_cfg, out = sys.argv[1:]
+for command, path in (("eigen", cfg), ("torsion", cfg), ("solve", cfg), ("sweep", sweep_cfg)):
+    assert fracmp.cli.main([command, path, "--out", out]) == 0, command
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+
+
+def test_workload_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmp.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, _write(tmp_path, SMALL),
+         _write(tmp_path, SMALL_SWEEP, "sweep.cfg"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
