@@ -40,7 +40,6 @@ from .model import (
     make_nonlinearity,
     make_potential,
     make_problem,
-    min_sf,
     primitive_envelope,
     residual_norm,
     validate_AR,

@@ -8,10 +8,11 @@ The built-in nonlinearity is one parametric family covering f(0) > 0,
     f(s) = 0                 for s <= -1,
 
 with primitive F(s) = integral of f from 0 to s, so F is constant below
--1 and F(0) = 0.  The growth and superlinearity hypotheses are certified
-by sampling (the constants in the analysis are existential, so a sampled
-certificate is the honest desk-scale check), with the family's known
-asymptote f(s)/s^q -> 1 folded into the envelope search.
+-1 and F(0) = 0.  The growth hypothesis is certified by sampling (its
+constants feed the lambda thresholds, and a sampled certificate is the
+honest desk-scale check), with the family's known asymptote
+f(s)/s^q -> 1 folded into the envelope search.  The superlinearity
+hypothesis is a yes/no fact about the family and is decided exactly.
 
 energy and gradient take one grid function (n,) or a stack (B, n) and
 return one energy or gradient row per row.  The stack goes through the
@@ -22,7 +23,6 @@ kernel call that comes first.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,13 +40,12 @@ from .kernel import Kernel, apply_flap, phi_p, seminorm_p
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """The built-in family and its certified hypothesis constants.
+    """The built-in family and its certified growth constants.
 
     A, B certify the growth envelope A(s^q - 1) <= f(s) <= B(s^q + 1) on
-    the validation samples; K certifies the superlinearity deficit
-    s f(s) - theta F(s) >= K on [-2, 50]; min_sf records
-    min s f(s) separately since the two lower bounds play different roles.
-    Constants are None until the validators have run.
+    the validation samples; they are None until validate_H1 has run.
+    Superlinearity with exponent theta is decided exactly by validate_AR
+    and leaves no constant behind.
     """
 
     q: float
@@ -54,8 +53,6 @@ class NonlinearitySpec:
     theta: float
     A: float | None = None
     B: float | None = None
-    K: float | None = None
-    min_sf: float | None = None
 
 
 def default_theta(q: float, p: float) -> float:
@@ -104,11 +101,6 @@ def exponent_window(p: float, s: float) -> tuple[float, float]:
 
 
 _H1_SAMPLES = np.geomspace(1e-6, 1e6, 4001)
-# The superlinearity deficit and min s f(s) are certified on the samples
-# of [-2, _AR_HI], denser near the origin.
-_AR_HI = 50.0
-_AR_SAMPLES = np.unique(np.concatenate([
-    np.linspace(-2.0, 4.0, 10000), np.geomspace(4.0, _AR_HI, 10001), [-1.0, 0.0]]))
 # Sampled suprema of the primitive envelope are inflated by this factor.
 _ENVELOPE_INFLATE = 1.05
 
@@ -148,71 +140,21 @@ def validate_H1(nl: NonlinearitySpec, p: float, s: float) -> tuple[float, float]
     return A, B
 
 
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_REFINE_XTOL = 1e-12
+def validate_AR(nl: NonlinearitySpec, p: float) -> None:
+    """Decide superlinearity: s f(s) - theta F(s) bounded below, theta > p.
 
-
-def _refine_minimum(func, grid: np.ndarray, coarse_min_idx: int) -> float:
-    """Polish a sampled minimum by golden-section search on Python floats.
-
-    The bracket is the two samples next to the best one; it shrinks by the
-    golden ratio per step until it is at most _REFINE_XTOL wide.  The step
-    count is fixed in advance, so the search also ends where floats are
-    coarser than the tolerance.  The best sample guards the result.
-    """
-    i = coarse_min_idx
-    best = float(func(grid[i]))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, len(grid) - 1)])
-    if b <= a:
-        return best
-    steps = max(0, math.ceil(math.log(_REFINE_XTOL / (b - a)) / math.log(1.0 - _GOLDEN)))
-    c, d = a + _GOLDEN * (b - a), b - _GOLDEN * (b - a)
-    fc, fd = float(func(c)), float(func(d))
-    for _ in range(steps):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = a + _GOLDEN * (b - a)
-            fc = float(func(c))
-        else:
-            a, c, fc = c, d, fd
-            d = b - _GOLDEN * (b - a)
-            fd = float(func(d))
-    return min(best, fc, fd)
-
-
-def validate_AR(nl: NonlinearitySpec, p: float) -> float:
-    """Certify superlinearity; return K = min of s f(s) - theta F(s).
-
-    The minimum is taken over [-2, 50] (sampled, then polished
-    around the best sample).  A trend probe beyond the range detects a
-    deficit that is unbounded below, which happens exactly when theta
-    exceeds the family's superlinearity exponent q+1 (and at theta = q+1
-    itself when f0 > 0, where the deficit decays linearly).
+    The deficit is theta f0 / 2 below -1, bounded on [-1, 0], and
+    (1 - theta/(q+1)) s^(q+1) + f0 (1 - theta) s above 0.  It is unbounded
+    below exactly when theta > q+1, or theta = q+1 and f0 > 0.
     """
     if nl.theta <= p:
         raise HypothesisError("theta=%g must exceed p=%g" % (nl.theta, p))
-
-    def deficit(t):
-        return t * f_eval(t, nl) - nl.theta * F_eval(t, nl)
-
-    probe = deficit(np.array([_AR_HI, 10.0 * _AR_HI, 100.0 * _AR_HI]))
-    if probe[2] < probe[1] < probe[0] and probe[2] < 0.0:
+    q1 = nl.q + 1.0
+    if nl.theta > q1 or (nl.theta == q1 and nl.f0 > 0.0):
         raise HypothesisError(
-            "deficit unbounded below (trend %g -> %g -> %g beyond s=%g); "
-            "theta=%g exceeds the admissible superlinearity of the family"
-            % (probe[0], probe[1], probe[2], _AR_HI, nl.theta)
+            "deficit unbounded below: theta=%g against q+1=%g with f0=%g"
+            % (nl.theta, q1, nl.f0)
         )
-    return _refine_minimum(deficit, _AR_SAMPLES, int(np.argmin(deficit(_AR_SAMPLES))))
-
-
-def min_sf(nl: NonlinearitySpec) -> float:
-    """min of s f(s) over [-2, 50] (bounded below per the analysis)."""
-
-    def sf(t):
-        return t * f_eval(t, nl)
-
-    return _refine_minimum(sf, _AR_SAMPLES, int(np.argmin(sf(_AR_SAMPLES))))
 
 
 def make_nonlinearity(q: float, f0: float, p: float, s: float,
@@ -223,9 +165,8 @@ def make_nonlinearity(q: float, f0: float, p: float, s: float,
     theta = default_theta(q, p) if theta is None else float(theta)
     nl = NonlinearitySpec(q=q, f0=f0, theta=theta)
     A, B = validate_H1(nl, p, s)
-    nl = replace(nl, A=A, B=B)
-    K = validate_AR(nl, p)
-    return replace(nl, K=K, min_sf=min_sf(nl))
+    validate_AR(nl, p)
+    return replace(nl, A=A, B=B)
 
 
 def primitive_envelope(nl: NonlinearitySpec) -> tuple[float, float, float]:

@@ -26,7 +26,7 @@ from ._descent import _slack, bb_descent
 from .eigen import rayleigh
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, _stack_rows, norm_W, seminorm_p
+from .kernel import Kernel, _stack_rows, norm_W, phi_p, seminorm_p
 from .model import (
     Problem,
     energy,
@@ -117,7 +117,7 @@ def sobolev_constant(K: Kernel, grid: Grid, exponent: float, seed: int = 0) -> f
         mass = h * float(np.sum(np.abs(u) ** t))
         alpha = None
         for _ in range(400):
-            g = t * h * np.sign(u) * np.abs(u) ** (t - 1.0)
+            g = t * h * phi_p(u, t)
             if alpha is None:
                 alpha = 0.1 / max(float(np.linalg.norm(g)), 1e-30)
             moved = False

@@ -12,6 +12,7 @@ from scipy import linalg
 from fracmp import (
     PreconditionError,
     SolverError,
+    TorsionResult,
     UsageError,
     assemble_kernel,
     build_grid,
@@ -145,6 +146,18 @@ def test_first_eigenpair_iteration_cap():
         first_eigenpair(K, g, 1e-13, max_iter=3)
     assert err.value.last is not None
     assert err.value.iterations == 3
+
+
+def test_torsion_iteration_cap():
+    # the stalled iterate travels with the error, its residual the error's
+    g = build_grid(0.0, 1.0, 60)
+    K = assemble_kernel(g, 0.4, 2.0)
+    with pytest.raises(SolverError) as err:
+        torsion_solve(K, g, make_potential(g, constant=0.5), 1e-13, max_iter=3)
+    last = err.value.last
+    assert isinstance(last, TorsionResult)
+    assert last.residual == err.value.residual > 1e-13
+    assert last.iterations == err.value.iterations
 
 
 def test_torsion_symmetric_for_zero_potential():

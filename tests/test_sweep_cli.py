@@ -295,6 +295,38 @@ def test_cli_torsion_writes_report(tmp_path):
     assert np.all(values > 0.0)
 
 
+def test_cli_torsion_negative_potential_gates_on_lambda1(tmp_path, monkeypatch):
+    # c_V > 0 needs lambda1 first, and torsion_solve gets it for its gate
+    lams = []
+    real_eig, real_tor = fracmp.cli.first_eigenpair, fracmp.cli.torsion_solve
+
+    def eig(*args, **kwargs):
+        pair = real_eig(*args, **kwargs)
+        lams.append(pair.lambda1)
+        return pair
+
+    def tor(*args, lambda1=None, **kwargs):
+        assert lambda1 == lams[-1]
+        return real_tor(*args, lambda1=lambda1, **kwargs)
+
+    monkeypatch.setattr("fracmp.cli.first_eigenpair", eig)
+    monkeypatch.setattr("fracmp.cli.torsion_solve", tor)
+    out = tmp_path / "out"
+    path = _write(tmp_path, SMALL.replace("V_const = 0.25", "V_const = -0.25"))
+    assert main(["torsion", path, "--out", str(out)]) == 0
+    assert len(lams) == 1
+    report = json.loads((out / "torsion_report.json").read_text())
+    assert report["positive"] is True
+
+
+def test_cli_solve_on_lambda_grid_exits_2(tmp_path, capsys, monkeypatch):
+    _no_solver(monkeypatch)
+    text = SMALL.replace("lambda = 0.5",
+                         "lambda_start = 0.05\nlambda_stop = 0.8\nlambda_count = 4")
+    assert main(["solve", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert "needs a single lambda" in capsys.readouterr().err
+
+
 def test_cli_solve_full_report(tmp_path, config_dir):
     # the pinned single-lambda instance; compare against a zero reference
     out = tmp_path / "out"
