@@ -35,7 +35,7 @@ _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
 # n x n weight table and one n x n pair table at once, 16 n^2 bytes; at
 # p = 2, verify's linear-solver cross-check holds W, the quadratic form's
 # matrix and its Cholesky factor, 24 n^2 bytes.  So n goes up to 16384, or
-# 13377 at p = 2.
+# 13377 at p = 2.  The same limit bounds the lambda grid, 8 bytes a lambda.
 MAX_TABLE_BYTES = 4 * 2 ** 30
 
 
@@ -80,10 +80,14 @@ def _check(cfg: Config) -> Config:
     if cfg.n < 1:
         raise ConfigurationError("need n >= 1, got %d" % cfg.n)
     tables = 3 if cfg.p == 2.0 else 2
-    if 8 * tables * cfg.n ** 2 > MAX_TABLE_BYTES:
+    need = 8 * tables * cfg.n ** 2
+    if need > MAX_TABLE_BYTES:
+        # a Decimal: n may be too large for the GiB figure to fit a float
+        from decimal import Decimal
+
         raise ConfigurationError(
-            "n = %d needs %.3g GiB for %d n x n tables (%d n^2 bytes), more than "
-            "the %g GiB limit" % (cfg.n, 8 * tables * cfg.n ** 2 / 2 ** 30, tables,
+            "n = %d needs %s GiB for %d n x n tables (%d n^2 bytes), more than "
+            "the %g GiB limit" % (cfg.n, format(Decimal(need) / 2 ** 30, ".3g"), tables,
                                   8 * tables, MAX_TABLE_BYTES / 2 ** 30))
     if cfg.V_const is not None and cfg.V_file is not None:
         raise ConfigurationError("V_const and V_file are mutually exclusive")
@@ -100,6 +104,10 @@ def _check(cfg: Config) -> Config:
             raise ConfigurationError("lambda grid endpoints must be positive")
         if cfg.lambda_count < 1:
             raise ConfigurationError("lambda_count must be >= 1")
+        if 8 * cfg.lambda_count > MAX_TABLE_BYTES:
+            raise ConfigurationError(
+                "lambda_count must be <= %d (8 bytes per lambda, %g GiB limit), got %d"
+                % (MAX_TABLE_BYTES // 8, MAX_TABLE_BYTES / 2 ** 30, cfg.lambda_count))
     elif cfg.lam <= 0.0:
         raise ConfigurationError("lambda must be positive, got %g" % cfg.lam)
     for name in ("eigen_tol", "solve_tol", "mp_tol"):
@@ -119,7 +127,7 @@ def parse_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError("cannot read config %s: %s" % (path, exc)) from exc
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -100,9 +100,9 @@ def write_gridfn(path, u, grid: Grid) -> None:
 def read_gridfn(path) -> tuple[np.ndarray, dict]:
     """Read a grid-function file; return (values, header dict with n, a, b)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError("cannot read grid function %s: %s" % (path, exc)) from exc
     if not raw or not raw[0].startswith(GRIDFN_MAGIC):
         raise ConfigurationError("%s: missing '%s' header" % (path, GRIDFN_MAGIC))

@@ -235,23 +235,15 @@ def descend(u0, prob: Problem, tol: float, max_iter: int | None = None,
     if cp.residual > tol:
         raise SolverError("descent stalled at residual %g > tol %g" % (cp.residual, tol),
                           last=cp, iterations=cp.iterations, residual=cp.residual)
-    if _probe_tag(cp, prob, seed) == "local-min":
-        cp = replace(cp, tag="local-min")
-    return cp
-
-
-def _probe_tag(cp: CriticalPoint, prob: Problem, seed: int) -> str:
-    """classify with 20 probes at radius max(1e-3, 1e-2 ||u||_W)."""
-    return classify(cp, prob, max(1e-3, 1e-2 * norm_W(cp.u, prob.kernel)), 20, seed=seed)
+    tag = classify(cp, prob, max(1e-3, 1e-2 * norm_W(cp.u, prob.kernel)), 20, seed=seed)
+    return replace(cp, tag=tag)
 
 
 def classify(cp, prob: Problem, rho: float, m: int, seed: int = 0) -> str:
     """Probe the rho-sphere around a critical point with m seeded directions.
 
-    All probes strictly higher: local-min.  At least two descent
-    directions whose connecting arc (rescaled onto the sphere) stays
-    strictly above the center value: mountain-pass, the sublevel set is
-    seen to be disconnected on the sphere.  Anything else: unknown.
+    All probes strictly higher: local-min; anything else: unknown.  Probes
+    can refute a local minimum but never certify a saddle.
 
     Two of the m directions are the estimated softest-curvature direction
     and its negative; with many nodes a purely random probe is nearly
@@ -272,24 +264,6 @@ def classify(cp, prob: Problem, rho: float, m: int, seed: int = 0) -> str:
     vals = energy(u + dirs, prob)
     if np.all(vals > J0 + eps):
         return "local-min"
-    lower = [i for i, v in enumerate(vals) if v < J0 - eps]
-    if len(lower) >= 2:
-        ts = np.linspace(0.0, 1.0, 7 + 2)[1:-1]  # 7 points inside each arc
-        for a in range(len(lower)):
-            for b in range(a + 1, len(lower)):
-                da, db = dirs[lower[a]], dirs[lower[b]]
-                ok = True
-                for t in ts:
-                    z = (1.0 - t) * da + t * db
-                    nz = norm_W(z, prob.kernel)
-                    if nz < 1e-8 * rho:
-                        ok = False
-                        break
-                    if energy(u + rho * z / nz, prob) <= J0 + eps:
-                        ok = False
-                        break
-                if ok:
-                    return "mountain-pass"
     return "unknown"
 
 
@@ -431,12 +405,13 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
 
 
 def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
-                  seed: int = 0, max_outer: int | None = None,
+                  max_outer: int | None = None,
                   constants: ScalingConstants | None = None) -> CriticalPoint:
     """Elastic-path min-max search between e0 and e1, then saddle polish.
 
     max_outer caps the path-descent iterations; None means the default,
-    MP_OUTER_CAP = 2000.
+    MP_OUTER_CAP = 2000.  The point's tag is "unknown": nothing here
+    certifies its Morse type.
     """
     if P < 8:
         raise UsageError("path needs at least 8 segments, got P=%d" % P)
@@ -555,7 +530,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
     w0 = _refine_maximizer(fine, Jf, kref, prob)
     tangent = fine[min(kref + 1, 2 * P)] - fine[max(kref - 1, 0)]
 
-    u_best, r_best, flow_its = _polish_saddle(
+    u_best, flow_its = _polish_saddle(
         w0, tangent, prob, tol, value_lo=J_path_min, value_hi=M)
     total_its = evals + flow_its
     value = energy(u_best, prob)
@@ -577,9 +552,6 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
         if value < bound:
             log.warning("mountain-pass value %g below the ring bound %g "
                         "(lambda inside the certified window)", value, bound)
-    tag = _probe_tag(cp, prob, seed)
-    if tag != "unknown":
-        cp = replace(cp, tag=tag)
     return cp
 
 
@@ -602,16 +574,17 @@ def _stable_step(w: np.ndarray, v: np.ndarray, prob: Problem, fd_eps: float) -> 
 
 def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
                    tol: float, value_lo: float, value_hi: float
-                   ) -> tuple[np.ndarray, float, int]:
+                   ) -> tuple[np.ndarray, int]:
     """Reflected gradient flow from the path maximizer toward the saddle.
 
     The step reverses the gradient component along the estimated unstable
     direction, so the flow contracts toward the saddle from both sides;
     the direction estimate is refreshed periodically from finite-difference
     curvature and the step length comes from a sampled curvature bound.
-    Keeps and returns the best-residual iterate; if the flow stalls above
-    tolerance a damped Newton-Krylov fallback is tried from the best
-    iterate, accepted only when it lands near the recorded path level.
+    Keeps and returns the best-residual iterate, with the flow steps
+    taken; if the flow stalls above tolerance a damped Newton-Krylov
+    fallback is tried from the best iterate, accepted only when it lands
+    near the recorded path level.
     """
     sqrt_h = np.sqrt(prob.h)
     scale = max(float(np.max(np.abs(w0))), 1e-12)
@@ -640,7 +613,7 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
                     r_best = r
                     w_best = w.copy()
                 if r <= tol:
-                    return w_best, r_best, it_total
+                    return w_best, it_total
                 step = g - 2.0 * float(g @ v) * v
                 w = w - eta * step
                 if not np.all(np.isfinite(w)):
@@ -652,8 +625,6 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
                     val = energy(w, prob)
                     if r > 50.0 * r_best or val > value_hi + margin or val < value_lo - margin:
                         break  # escaped the saddle bracket; restart smaller
-        if r_best <= tol:
-            break
     if r_best > tol:
         w_newton = _newton_fallback(w_best, prob, tol)
         if w_newton is not None:
@@ -663,8 +634,8 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
             if r_newton < r_best and lo <= val <= hi:
                 log.info("saddle polish used the Newton fallback "
                          "(flow residual %g, Newton residual %g)", r_best, r_newton)
-                w_best, r_best = w_newton, r_newton
-    return w_best, r_best, it_total
+                w_best = w_newton
+    return w_best, it_total
 
 
 def _newton_fallback(w0: np.ndarray, prob: Problem, tol: float) -> np.ndarray | None:

@@ -142,20 +142,19 @@ def certify(cfg: Config, parts, lam: float):
     return eig, prob, certify_constants(prob, eig.phi1, seed=cfg.seed)
 
 
-def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants,
-                   index: int = 0) -> tuple[CriticalPoint, np.ndarray]:
-    """Mountain pass at the index-th lambda of cfg: (critical point, e1)."""
+def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants
+                   ) -> tuple[CriticalPoint, np.ndarray]:
+    """Mountain pass at the lambda of prob: (critical point, e1)."""
     e0, e1, _, _ = construct_endpoints(prob, phi1, consts)
     cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
-                       seed=derive_seed(cfg.seed, index), max_outer=cfg.mp_iter_cap,
-                       constants=consts)
+                       max_outer=cfg.mp_iter_cap, constants=consts)
     return cp, e1
 
 
 def solve_lambda(cfg: Config, prob: Problem, phi1, consts: ScalingConstants,
                  index: int = 0) -> tuple[CriticalPoint, CriticalPoint | None]:
     """Mountain pass, then the second-solution search: (first, second or None)."""
-    cp, e1 = first_solution(cfg, prob, phi1, consts, index)
+    cp, e1 = first_solution(cfg, prob, phi1, consts)
     second = find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
                                   seed=derive_seed(cfg.seed, index) + 1,
                                   max_iter=cfg.solve_iter_cap)
@@ -308,20 +307,23 @@ def export(records, fmt: str, path: str) -> None:
 def load_records(path: str) -> list[dict]:
     """Read an exported table back as dicts keyed by the CSV field names.
 
-    A path ending in .json is read as JSON, any other as CSV.
+    A path ending in .json is read as JSON, any other as CSV.  A table that
+    is not UTF-8 or not in the export layout is a ConfigurationError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ExportError("cannot read (%s)" % exc.strerror, path) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError("%s: not UTF-8 (%s)" % (path, exc)) from exc
     fields = CSV_HEADER.split(",")
     if path.endswith(".json"):
-        body = json.loads(text)
-        out = []
-        for rec in body["records"]:
-            out.append({k: rec[k] for k in fields})
-        return out
+        try:
+            return [{k: rec[k] for k in fields} for rec in json.loads(text)["records"]]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ConfigurationError("%s: not a JSON sweep table (%s: %s)"
+                                     % (path, type(exc).__name__, exc)) from exc
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError("%s: missing or wrong CSV header" % path)
@@ -331,12 +333,15 @@ def load_records(path: str) -> list[dict]:
         if len(parts) != len(fields):
             raise ConfigurationError("%s: bad CSV row %r" % (path, ln))
         rec: dict = {}
-        for key, part in zip(fields, parts):
-            if key in ("positive", "in_window"):
-                rec[key] = part == "true"
-            elif key == "distinct_count":
-                rec[key] = int(part)
-            else:
-                rec[key] = float(part)
+        try:
+            for key, part in zip(fields, parts):
+                if key in ("positive", "in_window"):
+                    rec[key] = part == "true"
+                elif key == "distinct_count":
+                    rec[key] = int(part)
+                else:
+                    rec[key] = float(part)
+        except ValueError as exc:
+            raise ConfigurationError("%s: bad CSV row %r (%s)" % (path, ln, exc)) from exc
         out.append(rec)
     return out

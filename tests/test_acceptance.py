@@ -203,7 +203,7 @@ def test_criterion_6_multiplicity(capsys, sweep_run, grid96, kernel96,
     origin = descend(np.zeros(96), prob0, 1e-8, seed=0)
     consts0 = certify_constants(prob0, eig96.phi1, seed=0)
     e0, e1, _, _ = construct_endpoints(prob0, eig96.phi1, consts0)
-    nontrivial = mountain_pass(prob0, e0, e1, tol=1e-6, seed=0, constants=consts0)
+    nontrivial = mountain_pass(prob0, e0, e1, tol=1e-6, constants=consts0)
     ok_b = (origin.tag == "local-min"
             and nontrivial.residual <= 1e-6
             and distinct(nontrivial.u, np.zeros(96)))

@@ -19,6 +19,7 @@ from fracmp import (
     with_overrides,
     write_gridfn,
 )
+from fracmp.config import _ALL_KEYS, MAX_TABLE_BYTES
 
 BASE = """\
 # standard instance
@@ -201,3 +202,42 @@ def test_with_overrides(tmp_path):
         with_overrides(cfg, seed=-1)
     with pytest.raises(ConfigurationError, match="format"):
         with_overrides(cfg, fmt="xml")
+
+
+def test_lambda_count_bounded_by_table_limit(tmp_path):
+    # 8 bytes a lambda within MAX_TABLE_BYTES; parsing allocates no grid
+    grid = BASE.replace("lambda = 0.5", "lambda_start = 0.05\nlambda_stop = 0.8\n"
+                        "lambda_count = %d")
+    cfg = parse_config(_write(tmp_path, grid % (MAX_TABLE_BYTES // 8)))
+    assert cfg.lambda_count == MAX_TABLE_BYTES // 8
+    with pytest.raises(ConfigurationError, match="lambda_count must be <= %d"
+                       % (MAX_TABLE_BYTES // 8)):
+        parse_config(_write(tmp_path, grid % (MAX_TABLE_BYTES // 8 + 1)))
+
+
+def test_parse_config_raises_only_configuration_errors(tmp_path):
+    # any key = value text, valid or not, parses or is a ConfigurationError
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    base = dict(ln.split(" = ") for ln in BASE.splitlines()[1:])
+    number = st.one_of(st.integers(-10 ** 40, 10 ** 40).map(str), st.floats().map(repr),
+                       st.sampled_from(["1" + "0" * 200, "1" + "0" * 5000, "1e400",
+                                        "-0", "0x10", "1_0", " 7 "]))
+    value = st.one_of(number, st.text(max_size=12))
+    key = st.one_of(st.sampled_from(sorted(_ALL_KEYS)), st.text(max_size=6))
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(changes=st.dictionaries(key, value, max_size=8),
+               dropped=st.sets(st.sampled_from(sorted(base))), tail=st.binary(max_size=6))
+    def check(changes, dropped, tail):
+        pairs = {k: v for k, v in base.items() if k not in dropped}
+        pairs.update(changes)
+        text = "".join("%s = %s\n" % kv for kv in pairs.items())
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(text.encode("utf-8", "surrogatepass") + tail)
+        try:
+            parse_config(str(path))
+        except ConfigurationError:
+            pass
+
+    check()

@@ -53,7 +53,7 @@ def endpoints96(prob96, eig96, consts96):
 @pytest.fixture(scope="module")
 def mp_first(prob96, endpoints96, consts96):
     e0, e1, _, _ = endpoints96
-    return mountain_pass(prob96, e0, e1, tol=1e-6, seed=0, constants=consts96)
+    return mountain_pass(prob96, e0, e1, tol=1e-6, constants=consts96)
 
 
 def test_certified_constants_frozen(consts96):
@@ -192,7 +192,7 @@ def test_mountain_pass_contract(mp_first, prob96, consts96):
     # saddle level respects the ring lower bound (lambda < lam_hat2)
     radius = consts96.tau * prob96.lam ** -0.5
     assert cp.value >= (1.0 / 8.0) * radius ** 2
-    assert cp.tag in ("mountain-pass", "unknown")
+    assert cp.tag == "unknown"
 
 
 def test_mountain_pass_solution_positive(mp_first, grid96):
@@ -211,7 +211,19 @@ def test_mountain_pass_not_a_local_min(mp_first, prob96):
 def test_classify_huge_radius_still_valid(mp_first, prob96):
     tag = classify(mp_first, prob96, 50.0 * norm_W(mp_first.u, prob96.kernel),
                    12, seed=3)
-    assert tag in ("local-min", "mountain-pass", "unknown")
+    assert tag in ("local-min", "unknown")
+
+
+def test_mountain_pass_probes_nothing(prob96, endpoints96, consts96, monkeypatch):
+    # probes cannot certify a saddle, so the mountain pass runs none and
+    # leaves its point untagged
+    calls = []
+    monkeypatch.setattr(fracmp.solve, "classify",
+                        lambda *args, **kwargs: calls.append(args) or "mountain-pass")
+    e0, e1, _, _ = endpoints96
+    cp = mountain_pass(prob96, e0, e1, tol=1e-6, constants=consts96)
+    assert calls == []
+    assert cp.tag == "unknown"
 
 
 def test_mountain_pass_argument_checks(prob96, endpoints96):
@@ -337,7 +349,7 @@ def test_saddle_polish_restarts_then_newton_fallback(monkeypatch, caplog):
     # signal and reaches no one as a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cp = mountain_pass(prob, e0, e1, tol=1e-6, seed=0, constants=consts)
+        cp = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
     # each round starts its direction estimate at the path maximizer
     assert sum(np.array_equal(w, rotated_at[0]) for w in rotated_at) == 3
     notes = [r.getMessage() for r in caplog.records
@@ -357,5 +369,5 @@ def test_saddle_polish_restarts_then_newton_fallback(monkeypatch, caplog):
 def test_mountain_pass_inside_window_q2():
     prob, e0, e1, consts = _instance(64, 0.3, 2.5, 2.0, 1.0, 0.0, 0.5)
     assert prob.lam < consts.lam3
-    cp = mountain_pass(prob, e0, e1, tol=1e-6, seed=0, constants=consts)
+    cp = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
     assert cp.residual <= 1e-6

@@ -172,6 +172,20 @@ def test_load_records_rejects_wrong_header(tmp_path):
         load_records(str(path))
 
 
+@pytest.mark.parametrize("name, body", [
+    ("t.json", b"not json"),
+    ("t.json", json.dumps({"records": [{"lambda": 0.1}]}).encode()),
+    ("t.csv", (CSV_HEADER + "\n0.1,x,1,1,1,true,1,true\n").encode()),
+    ("t.csv", b"\xff" + CSV_HEADER.encode() + b"\n"),
+], ids=["not-json", "missing-field", "non-numeric", "not-utf8"])
+def test_load_records_malformed_table_names_path(tmp_path, name, body):
+    path = tmp_path / name
+    path.write_bytes(body)
+    with pytest.raises(ConfigurationError) as err:
+        load_records(str(path))
+    assert str(path) in str(err.value)
+
+
 def test_sweep_needs_enough_points(tmp_path):
     cfg = parse_config(_write(tmp_path, SMALL))
     with pytest.raises(UsageError, match=">= 4"):
@@ -261,7 +275,7 @@ def test_cli_solve_bad_ref_exits_2(tmp_path, capsys, monkeypatch):
     assert "different grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", [1000000, 14000])
+@pytest.mark.parametrize("n", [1000000, 14000, pytest.param(10 ** 200, id="1e200")])
 def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch, n):
     # rejected while the config is read, before any grid or table exists;
     # at p = 2 the limit counts verify's three n x n tables (n <= 13377)
@@ -270,6 +284,38 @@ def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch, n):
     assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n = %d needs" % n in err and "3 n x n tables" in err and "GiB" in err
+
+
+def test_cli_lambda_count_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # rejected while the config is read, before any lambda grid exists
+    _no_solver(monkeypatch)
+    text = SMALL.replace("lambda = 0.5", "lambda_start = 0.05\nlambda_stop = 0.8\n"
+                         "lambda_count = %d" % 10 ** 20)
+    assert main(["sweep", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert "lambda_count must be <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["config", "V_file", "ref"])
+def test_cli_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch, bad):
+    _no_solver(monkeypatch)
+    junk = tmp_path / "junk.txt"
+    junk.write_bytes(b"\xff\xfe not UTF-8\n")
+    cfg = _write(tmp_path, SMALL.replace("V_const = 0.25", "V_file = %s" % junk)
+                 if bad == "V_file" else SMALL)
+    argv = {"config": ["eigen", str(junk)], "V_file": ["eigen", cfg],
+            "ref": ["solve", cfg, "--ref", str(junk)]}[bad]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert str(junk) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("theta = 4.5", "error: deficit unbounded below"),  # HypothesisError: q + 1 = 4
+    ("eigen_iter_cap = 2", "error: eigen solver stalled"),  # SolverError
+])
+def test_cli_hypothesis_or_solver_failure_exits_1(tmp_path, capsys, line, message):
+    out = str(tmp_path / "out")
+    assert main(["eigen", _write(tmp_path, SMALL + line + "\n"), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_cli_eigen_writes_report(tmp_path, capsys):
