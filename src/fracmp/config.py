@@ -22,8 +22,8 @@ from .errors import (
 from .grid import Grid, read_gridfn
 from .model import Potential, critical_exponent, make_potential
 
-_INT_KEYS = {"n", "lambda_count", "path_vertices", "seed",
-             "eigen_iter_cap", "torsion_iter_cap", "solve_iter_cap", "mp_iter_cap"}
+_ITER_CAPS = ("eigen_iter_cap", "torsion_iter_cap", "solve_iter_cap", "mp_iter_cap")
+_INT_KEYS = {"n", "lambda_count", "path_vertices", "seed", *_ITER_CAPS}
 _STR_KEYS = {"V_file", "out_dir", "format"}
 _FLOAT_KEYS = {"a", "b", "s", "p", "q", "f0", "theta", "V_const",
                "lambda", "lambda_start", "lambda_stop",
@@ -35,7 +35,9 @@ _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
 # n x n weight table and one n x n pair table at once, 16 n^2 bytes; at
 # p = 2, verify's linear-solver cross-check holds W, the quadratic form's
 # matrix and its Cholesky factor, 24 n^2 bytes.  So n goes up to 16384, or
-# 13377 at p = 2.  The same limit bounds the lambda grid, 8 bytes a lambda.
+# 13377 at p = 2.  The same limit bounds the lambda grid, 8 bytes a lambda,
+# and the mountain pass's refined path of P = path_vertices segments,
+# (2P+1) n values of 8 bytes.
 MAX_TABLE_BYTES = 4 * 2 ** 30
 
 
@@ -117,6 +119,16 @@ def _check(cfg: Config) -> Config:
         raise ConfigurationError("format must be csv or json, got %r" % cfg.fmt)
     if cfg.path_vertices < 8:
         raise ConfigurationError("path_vertices must be >= 8, got %d" % cfg.path_vertices)
+    if 8 * (2 * cfg.path_vertices + 1) * cfg.n > MAX_TABLE_BYTES:
+        raise ConfigurationError(
+            "path_vertices must be <= %d at n = %d (the refined path holds (2P+1) n "
+            "8-byte values, %g GiB limit), got %d"
+            % ((MAX_TABLE_BYTES // (8 * cfg.n) - 1) // 2, cfg.n,
+               MAX_TABLE_BYTES / 2 ** 30, cfg.path_vertices))
+    for name in _ITER_CAPS:
+        cap = getattr(cfg, name)
+        if cap is not None and cap < 1:
+            raise ConfigurationError("%s must be >= 1, got %d" % (name, cap))
     if cfg.seed < 0:
         raise ConfigurationError("seed must be >= 0, got %d" % cfg.seed)
     return cfg

@@ -57,7 +57,7 @@ import tracemalloc
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -115,6 +115,11 @@ class Kernel:
     W: np.ndarray
     tail: np.ndarray
 
+    @cached_property
+    def tail_weight(self) -> np.ndarray:
+        """h t: the tail's weight in apply_flap, formed once."""
+        return self.cell_weight * self.tail
+
 
 def adjacent_cell_weight(h: float, sp: float) -> float:
     """Exact integral of |x-y|^(-(1+sp)) over two touching width-h cells."""
@@ -157,6 +162,8 @@ def phi_p(s, p: float):
     """
     d = np.asarray(s, dtype=float)
     out = d if p == 2.0 else np.sign(d) * np.abs(d) ** (p - 1.0)
+    if isinstance(s, np.ndarray):  # never a scalar: skip np.isscalar's tests
+        return out
     return float(out) if np.isscalar(s) else out
 
 
@@ -227,7 +234,9 @@ def _fill(M: np.ndarray, v: np.ndarray, e: float, odd: bool, starts, neg) -> Non
         if odd:
             sgn = np.less(blk, 0.0, out=neg[:, :r1 - r0, :n - r0])
             np.negative(sgn, out=sgn)
-        np.abs(blk, out=blk)
+        if odd or e != 2.0:
+            # d^2 is |d|^2 to the bit
+            np.abs(blk, out=blk)
         np.power(blk, e, out=blk)
         if odd:
             np.copysign(blk, sgn, out=blk)
@@ -355,15 +364,19 @@ def norm_W(u, K: Kernel):
     return np.array([s ** (1.0 / K.p) for s in S.tolist()])
 
 
-def apply_flap(u, K: Kernel) -> np.ndarray:
+def apply_flap(u, K: Kernel, phi=None) -> np.ndarray:
     """Exact Euclidean gradient of seminorm_p at u, per row for a stack.
 
     g_k = 2p [ sum_j W_kj Phi_p(u_k - u_j) + h t_k Phi_p(u_k) ], which makes
-    <g, u> = p S(u) (Euler identity for the p-homogeneous S).
+    <g, u> = p S(u) (Euler identity for the p-homogeneous S).  phi, when
+    given, is Phi_p(u), already computed by the caller.  The tail term and
+    the factor 2p are applied in place to the fresh pair sums.
     """
     v = as_grid_stack(u, K.n)
-    pair = _by_stack(_pair_actions, v, K).reshape(v.shape)
-    return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi_p(v, K.p))
+    g = _by_stack(_pair_actions, v, K).reshape(v.shape)
+    g += K.tail_weight * (phi_p(v, K.p) if phi is None else phi)
+    g *= 2.0 * K.p
+    return g
 
 
 def quadratic_form_matrix(K: Kernel) -> np.ndarray:

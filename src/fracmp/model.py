@@ -19,11 +19,12 @@ return one energy or gradient row per row.  The stack goes through the
 kernel's stacked tables and the same elementwise operations, and each sum
 over nodes is the same pairwise sum along a row, so a stacked row is the
 same bytes as the one-point call.  The input is validated once, by the
-kernel call that comes first.
+kernel call, before any product with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +61,29 @@ def default_theta(q: float, p: float) -> float:
     return q + 1.0 - 0.1 * (q + 1.0 - p)
 
 
+def _nonnegative(arr: np.ndarray) -> bool:
+    """True for a C-contiguous array of at least one entry, none below 0.
+
+    On such an array f and F are their s >= 0 branch on the whole array.
+    Its power then runs numpy's contiguous loop, as it does on the masked
+    entries; no other loop is let in, as scalar ** already differs from
+    that loop in the last bit.  NaN fails the test.
+    """
+    return arr.ndim > 0 and arr.size > 0 and arr.flags.c_contiguous and arr.min() >= 0.0
+
+
 def f_eval(s, nl: NonlinearitySpec):
     """Evaluate the nonlinearity f at scalar or array s.
 
     The two branches below 0 are one np.where over every entry, the branch
     at s >= 0 is evaluated on its entries only: each kept entry is the same
     float as on its branch alone.  A discarded entry of the np.where may
-    overflow, hence its local errstate.
+    overflow, hence its local errstate.  An array with no entry below 0
+    (_nonnegative) skips the np.where and the mask.
     """
     arr = np.asarray(s, dtype=float)
+    if _nonnegative(arr):
+        return arr ** nl.q + nl.f0
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.where(arr > -1.0, nl.f0 * (1.0 + arr), 0.0)
     pos = arr >= 0.0
@@ -79,6 +94,8 @@ def f_eval(s, nl: NonlinearitySpec):
 def F_eval(s, nl: NonlinearitySpec):
     """Evaluate the primitive F(s) = int_0^s f (branches as in f_eval)."""
     arr = np.asarray(s, dtype=float)
+    if _nonnegative(arr):
+        return arr ** (nl.q + 1.0) / (nl.q + 1.0) + nl.f0 * arr
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.where(arr > -1.0, nl.f0 * (arr + arr ** 2 / 2.0), -nl.f0 / 2.0)
     pos = arr >= 0.0
@@ -250,6 +267,16 @@ class Problem:
     def h(self) -> float:
         return self.grid.h
 
+    @cached_property
+    def hV(self) -> np.ndarray:
+        """h V: the potential's weight in the gradient, formed once."""
+        return self.grid.h * self.V.values
+
+    @cached_property
+    def lam_h(self) -> float:
+        """lambda h: the nonlinearity's weight in the gradient."""
+        return self.lam * self.grid.h
+
 
 def make_problem(grid: Grid, kernel: Kernel, V: Potential, lam: float,
                  nl: NonlinearitySpec) -> Problem:
@@ -280,10 +307,22 @@ def operator_energy(v: np.ndarray, K: Kernel, h: float, V: Potential):
 def operator_action(v: np.ndarray, K: Kernel, h: float, V: Potential) -> np.ndarray:
     """A(v) = apply_flap(v)/p + h V Phi_p(v): the gradient of operator_energy.
 
-    apply_flap comes first and validates v (one grid function or a stack).
+    apply_flap validates v (one grid function or a stack) before any product
+    with it.
     """
-    g = apply_flap(v, K) / K.p
-    g += h * V.values * phi_p(v, K.p)
+    return _action(v, K, h * V.values, phi_p(v, K.p))
+
+
+def _action(v: np.ndarray, K: Kernel, hV: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """apply_flap(v)/p + (h V) phi, with phi = Phi_p(v) shared with apply_flap.
+
+    Computed in place on apply_flap's fresh result, in the association of
+    the formula.  phi_p raises no warning on a non-finite v, which apply_flap
+    then rejects.
+    """
+    g = apply_flap(v, K, phi)
+    g /= K.p
+    g += hV * phi
     return g
 
 
@@ -302,8 +341,10 @@ def energy(u, prob: Problem):
 def gradient(u, prob: Problem) -> np.ndarray:
     """Exact Euclidean gradient of energy at u, one row per row of a stack."""
     v = np.asarray(u, dtype=float)
-    g = operator_action(v, prob.kernel, prob.h, prob.V)
-    g -= prob.lam * prob.h * f_eval(v, prob.nl)
+    g = _action(v, prob.kernel, prob.hV, phi_p(v, prob.kernel.p))
+    f = f_eval(v, prob.nl)
+    f *= prob.lam_h
+    g -= f
     return g
 
 

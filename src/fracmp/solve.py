@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._descent import _slack, bb_descent
+from ._descent import _slack, bb_descent, vector_norm
 from .eigen import rayleigh
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
@@ -367,12 +367,19 @@ def _hessian_product(w: np.ndarray, xi: np.ndarray, prob: Problem,
     """Central finite-difference Hessian-vector product of the energy.
 
     xi is one direction or a stack of them; the gradients at w + eps xi and
-    w - eps xi of every direction are one stacked call.
+    w - eps xi of every direction are one stacked call, on points filled
+    into one array, and the difference quotient is taken in place.
     """
-    step = fd_eps * np.atleast_2d(xi)
-    g = gradient(np.concatenate([w + step, w - step]), prob)
-    Hxi = (g[:len(step)] - g[len(step):]) / (2.0 * fd_eps)
-    return Hxi if np.ndim(xi) == 2 else Hxi[0]
+    B = len(xi) if xi.ndim == 2 else 1
+    X = np.empty((2 * B, w.size))
+    step = np.multiply(fd_eps, xi, out=X[B:])
+    np.add(w, step, out=X[:B])
+    np.subtract(w, step, out=step)
+    g = gradient(X, prob)
+    Hxi = g[:B]
+    Hxi -= g[B:]
+    Hxi /= 2.0 * fd_eps
+    return Hxi if xi.ndim == 2 else Hxi[0]
 
 
 def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
@@ -382,12 +389,12 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
     Rayleigh-quotient minimization with exact two-dimensional Rayleigh-Ritz
     steps on span{v, residual}, using finite-difference Hessian products.
     """
-    v = v / max(float(np.linalg.norm(v)), 1e-300)
+    v = v / max(vector_norm(v), 1e-300)
     for _ in range(40):
         Hv = _hessian_product(w, v, prob, fd_eps)
         a = float(v @ Hv)
         resid = Hv - a * v
-        rn = float(np.linalg.norm(resid))
+        rn = vector_norm(resid)
         if rn < 1e-9 * max(1.0, abs(a)):
             break
         rhat = resid / rn
@@ -400,7 +407,7 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
         if nc < 1e-14 * max(1.0, abs(mu)):
             break
         v = (c1 * v + c2 * rhat) / nc
-        v = v / max(float(np.linalg.norm(v)), 1e-300)
+        v = v / max(vector_norm(v), 1e-300)
     return v
 
 
@@ -456,7 +463,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
         evals += P - 1
         kmax = int(np.argmax(Jf[0::2]))
         k_int = min(max(kmax, 1), P - 1)
-        res_max = float(np.linalg.norm(G[k_int - 1]) / np.sqrt(prob.h))
+        res_max = float(vector_norm(G[k_int - 1]) / np.sqrt(prob.h))
         if res_max <= tol:
             break
         # transverse descent for ordinary vertices, reversed tangential
@@ -466,7 +473,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
         F = np.empty_like(G)
         for k in range(1, P):
             t_vec = path[k + 1] - path[k - 1]
-            nt = float(np.linalg.norm(t_vec))
+            nt = vector_norm(t_vec)
             g_k = G[k - 1]
             if nt == 0.0:
                 F[k - 1] = -g_k
@@ -607,7 +614,7 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
             since_refresh = 0
             while it_total < POLISH_CAP:
                 g = gradient(w, prob)
-                r = float(np.linalg.norm(g) / sqrt_h)
+                r = float(vector_norm(g) / sqrt_h)
                 it_total += 1
                 if r < r_best:
                     r_best = r

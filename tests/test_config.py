@@ -215,6 +215,19 @@ def test_lambda_count_bounded_by_table_limit(tmp_path):
         parse_config(_write(tmp_path, grid % (MAX_TABLE_BYTES // 8 + 1)))
 
 
+def test_path_vertices_bounded_by_table_limit(tmp_path):
+    # (2P+1) n values of 8 bytes within MAX_TABLE_BYTES; parsing allocates no path
+    top = (MAX_TABLE_BYTES // (8 * 96) - 1) // 2
+    assert 8 * (2 * top + 1) * 96 <= MAX_TABLE_BYTES < 8 * (2 * top + 3) * 96
+    text = BASE + "path_vertices = %d\n"
+    assert parse_config(_write(tmp_path, text % top)).path_vertices == top
+    for bad in (top + 1, 10 ** 20):
+        with pytest.raises(ConfigurationError,
+                           match=r"path_vertices must be <= %d at n = 96 .*got %d"
+                           % (top, bad)):
+            parse_config(_write(tmp_path, text % bad))
+
+
 def test_parse_config_raises_only_configuration_errors(tmp_path):
     # any key = value text, valid or not, parses or is a ConfigurationError
     hyp = pytest.importorskip("hypothesis")

@@ -2,13 +2,14 @@
 
 bb_descent runs the eigenpair, torsion and energy descents; here it is
 checked on its own: convergence, the three ways a run stops short, and an
-abort raised from the per-step hook.
+abort raised from the per-step hook.  vector_norm, the norm of the hot
+loops, is checked byte for byte against np.linalg.norm.
 """
 
 import numpy as np
 import pytest
 
-from fracmp._descent import _STALL_WINDOW, bb_descent
+from fracmp._descent import _STALL_WINDOW, bb_descent, vector_norm
 
 H = 0.25  # grid spacing: the residual is ||g|| / sqrt(H)
 A = np.array([1.0, 3.0, 10.0, 30.0])
@@ -93,3 +94,29 @@ def test_check_exception_carries_the_iterate():
     assert np.array_equal(u, u0 - (0.1 / np.linalg.norm(g0)) * g0)
     assert value == _quadratic(u) == trace[-1]
     assert it == 1 and len(trace) == 2
+
+
+def test_vector_norm_is_numpys_norm():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entry = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200),
+                      st.sampled_from([0.0, -0.0, 5e-324, 1e-300]))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(values=st.lists(entry, min_size=1, max_size=300),
+               view=st.sampled_from(["contiguous", "step", "reversed", "column"]))
+    def check(values, view):
+        x = np.array(values)
+        if view == "step":
+            x = x[::3]
+        elif view == "reversed":
+            x = x[::-1]
+        elif view == "column":
+            x = np.stack([x, -x], axis=1)[:, 1]
+        # 1e200-scale entries overflow the dot to inf in both
+        with np.errstate(over="ignore"):
+            got, want = vector_norm(x), np.linalg.norm(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    check()

@@ -7,6 +7,7 @@ contracts (residual, monotone levels, ring lower bound) rather than
 frozen iterates.
 """
 
+import functools
 import logging
 import re
 import warnings
@@ -43,6 +44,9 @@ from fracmp import (
     sobolev_constant,
     torsion_solve,
 )
+from fracmp.kernel import apply_flap, phi_p
+from fracmp.model import f_eval, gradient
+from fracmp.solve import _hessian_product
 
 
 @pytest.fixture(scope="module")
@@ -371,3 +375,57 @@ def test_mountain_pass_inside_window_q2():
     assert prob.lam < consts.lam3
     cp = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
     assert cp.residual <= 1e-6
+
+
+def _parent_gradient(v, prob):
+    # the gradient out of place, in its association: apply_flap/p + (h V) Phi_p
+    # - (lambda h) f
+    g = apply_flap(v, prob.kernel) / prob.p
+    g += prob.h * prob.V.values * phi_p(v, prob.p)
+    g -= prob.lam * prob.h * f_eval(v, prob.nl)
+    return g
+
+
+def _parent_hessian_product(w, xi, prob, fd_eps):
+    step = fd_eps * np.atleast_2d(xi)
+    g = _parent_gradient(np.concatenate([w + step, w - step]), prob)
+    Hxi = (g[:len(step)] - g[len(step):]) / (2.0 * fd_eps)
+    return Hxi if np.ndim(xi) == 2 else Hxi[0]
+
+
+@functools.cache
+def _fd_problem(n, p, f0):
+    s = 0.9 / (p + 0.5)
+    grid = build_grid(0.0, 1.0, n)
+    return make_problem(grid, assemble_kernel(grid, s, p),
+                        make_potential(grid, constant=0.25), 0.5,
+                        make_nonlinearity(p + 0.5, f0, p, s))
+
+
+def test_hessian_product_matches_parent_formula():
+    # one direction and stacks, at points with and without negative entries
+    # (both branches of f_eval); the stacked gradient is checked against its
+    # out-of-place formula too
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(n=st.sampled_from((16, 40, 96)), p=st.sampled_from((2.0, 2.5)),
+               f0=st.sampled_from((1.0, -0.5)), seed=st.integers(0, 2 ** 32 - 1),
+               positive=st.booleans(), B=st.sampled_from((None, 1, 2, 4)),
+               eps=st.sampled_from((1e-5, 3.7e-4)))
+    def check(n, p, f0, seed, positive, B, eps):
+        prob = _fd_problem(n, p, f0)
+        rng = np.random.default_rng(seed)
+        w = 3.0 * rng.standard_normal(n)
+        if positive:
+            w = np.abs(w)
+        xi = rng.standard_normal(n if B is None else (B, n))
+        got = _hessian_product(w, xi, prob, eps)
+        want = _parent_hessian_product(w, xi, prob, eps)
+        assert got.shape == xi.shape
+        assert got.tobytes() == want.tobytes()
+        X = np.concatenate([w + eps * np.atleast_2d(xi), w - eps * np.atleast_2d(xi)])
+        assert gradient(X, prob).tobytes() == _parent_gradient(X, prob).tobytes()
+
+    check()

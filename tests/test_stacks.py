@@ -4,10 +4,12 @@ Oracle: the one-point call on each row.  Every row of a stacked
 seminorm_p, apply_flap, norm_W, energy and gradient must be the same bytes
 as the call on that row alone, for stacks shorter and longer than one
 stacked pair table holds (kernel._STACK_CAP).  The nonlinearity's np.where
-branches are checked against the masked formulas they replaced.
+branches, and its branch for inputs with no negative entry, are checked
+against the masked formulas they replaced.
 """
 
 import functools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from fracmp import (
 )
 from fracmp import kernel
 from fracmp.kernel import _PAIR_BLOCK, _PARALLEL_ROWS, norm_W
-from fracmp.model import F_eval, NonlinearitySpec, f_eval
+from fracmp.model import F_eval, NonlinearitySpec, _nonnegative, f_eval
 
 _SIZES = (1, 96, _PAIR_BLOCK - 1, _PAIR_BLOCK + 1, _PARALLEL_ROWS)
 _EXPONENTS = (1.5, 2.0, 2.5, 3.0)
@@ -168,3 +170,43 @@ def _check_nonlinearity(values, special):
         for x in special[:10]:
             assert np.float64(f_eval(x, nl)).tobytes() == _masked_f(x, nl).tobytes()
             assert np.float64(F_eval(x, nl)).tobytes() == _masked_F(x, nl).tobytes()
+
+
+def _warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def test_nonnegative_inputs_match_masked_formulas():
+    # the whole-array branch: C-contiguous flat arrays and (B, n) stacks take
+    # it, strided views of the same values do not; 1e200 overflows to the
+    # same inf with the same warning
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1.0, 1e200]),
+                      st.floats(0.0, 1e3), st.floats(0.0, 1e80))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(values=st.lists(entry, min_size=1, max_size=40),
+               rows=st.integers(1, 4), layout=st.sampled_from(["flat", "stack", "strided"]),
+               q=st.sampled_from((2.0, 2.5, 3.0, 3.7, 4.0)),
+               f0=st.sampled_from((1.0, 0.0, -0.5, 0.3)))
+    def check(values, rows, layout, q, f0):
+        nl = NonlinearitySpec(q=q, f0=f0, theta=q)
+        arr = np.array(values * rows)
+        if layout == "stack":
+            arr = arr.reshape(rows, len(values))
+        elif layout == "strided":
+            arr = np.repeat(arr, 2)[::2]
+        # numpy flags a one-entry view contiguous
+        assert _nonnegative(arr) == (layout != "strided" or arr.size == 1)
+        for fn, masked in ((f_eval, _masked_f), (F_eval, _masked_F)):
+            got, got_warnings = _warned(fn, arr, nl)
+            want, want_warnings = _warned(masked, arr, nl)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got_warnings == want_warnings
+
+    check()

@@ -295,6 +295,18 @@ def test_cli_lambda_count_over_memory_limit_exits_2(tmp_path, capsys, monkeypatc
     assert "lambda_count must be <=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("cap", ["eigen_iter_cap", "torsion_iter_cap",
+                                 "solve_iter_cap", "mp_iter_cap"])
+def test_cli_iteration_cap_below_one_exits_2(tmp_path, capsys, monkeypatch, cap, value):
+    # a config problem, found before any solve; a cap of 1 is accepted
+    _no_solver(monkeypatch)
+    path = _write(tmp_path, SMALL + "%s = %d\n" % (cap, value))
+    assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
+    assert "%s must be >= 1, got %d" % (cap, value) in capsys.readouterr().err
+    assert getattr(parse_config(_write(tmp_path, SMALL + "%s = 1\n" % cap)), cap) == 1
+
+
 @pytest.mark.parametrize("bad", ["config", "V_file", "ref"])
 def test_cli_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch, bad):
     _no_solver(monkeypatch)

@@ -1,15 +1,19 @@
-"""The benchmark's tracer wraps fracmp functions by name.
+"""The benchmark's tracer wraps fracmp functions by name; the timing tool runs.
 
 A traced name that no longer exists would make the traced benchmark run
 fail when it installs its wrappers, so every name is checked here.  The
 table is read from the tracer's source, without importing the tracer.
+tools/kernel_timing.py prints each of its tables once at a tiny size, with
+no timing gate.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "fracbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "fracbench" / "tracer.py"
 
 
 def _traced():
@@ -31,3 +35,19 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module("fracmp." + module), name, None))
     ]
     assert not missing
+
+
+def test_kernel_timing_tables_run(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "kernel_timing", ROOT / "tools" / "kernel_timing.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "ROUND_S", 1e-4)
+    tool.pair_table([8], 1)
+    tool.stack_table([8], 1)
+    tool.layer_table([8], (1, 2), 1)
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+    timed = [r for r in rows if r and r[0] in ("2", "2.5")]
+    # two exponents: one pair-table row, B = 1 plus four caps, two layer rows
+    assert len(timed) == 2 * (1 + 5 + 2)
+    assert all(float(r[-1]) > 0.0 for r in timed)

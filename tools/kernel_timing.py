@@ -1,4 +1,4 @@
-"""Per-call time of the pair-table kernels: threads, and stacks of points.
+"""Per-call time of the pair-table kernels and of the layers above them.
 
 usage: PYTHONPATH=src python tools/kernel_timing.py [--repeats R] [--sizes N,N,...]
 
@@ -17,6 +17,13 @@ entries, 2^15 to 2^18) allows, with kernel._STACK_CAP set to that cap.
 The row of the cap in fracmp.kernel is marked with a *.  This is how
 _STACK_CAP is chosen and checked.
 
+The third table prints, for p = 2 and p = 2.5, n = 96 and 192 and B = 1, 2
+and 7, the median time in microseconds per call of model.energy and
+model.gradient on B points, and of solve._hessian_product at one point in
+B directions (one gradient call on 2B points).  The points have no
+negative entry, as the mountain pass's iterates.  These are the layers
+whose per-call overhead sets the time of small-n solves.
+
 Each median is over R rounds that alternate the paths compared; a round
 times a loop long enough to take about 20 ms.  The tool has no pass/fail
 gate: wall-clock times on a shared host vary too much for one.
@@ -31,18 +38,24 @@ import numpy as np
 
 from fracmp import kernel
 from fracmp.grid import build_grid
+from fracmp.model import energy, gradient, make_nonlinearity, make_potential, make_problem
+from fracmp.solve import _hessian_product
 
 SIZES = (96, 192, 384, 512, 1024, 1536)
 STACK_SIZES = (96, 192, 384)
+LAYER_SIZES = (96, 192)
+LAYER_POINTS = (1, 2, 7)
 EXPONENTS = (2.0, 2.5)
 CAPS = tuple(1 << k for k in range(15, 19))
+# seconds one timed loop takes
+ROUND_S = 0.02
 
 
 def _per_call_us(fn, rounds):
     fn()
     t0 = time.perf_counter()
     fn()
-    loops = max(1, int(0.02 / max(time.perf_counter() - t0, 1e-7)))
+    loops = max(1, int(ROUND_S / max(time.perf_counter() - t0, 1e-7)))
     out = []
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -89,32 +102,73 @@ def _time_stacks(K, n, repeats):
             for cap, U in runs]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
-    args = parser.parse_args(argv)
-    sizes = [int(x) for x in args.sizes.split(",")]
+def _time_layers(prob, B, repeats):
+    """Median us per call of energy and gradient on B points, and of the
+    Hessian product at one point in B directions."""
+    n = prob.grid.n
+    rng = np.random.default_rng(n + B)
+    U = np.abs(rng.standard_normal(n if B == 1 else (B, n)))
+    w = U if B == 1 else U[0]
+    xi = rng.standard_normal(U.shape)
+    calls = (lambda: energy(U, prob), lambda: gradient(U, prob),
+             lambda: _hessian_product(w, xi, prob, 1e-5))
+    times = [[] for _ in calls]
+    for r in range(repeats):
+        for k in (range(3) if r % 2 == 0 else range(2, -1, -1)):
+            times[k] += _per_call_us(calls[k], 1)
+    return [statistics.median(t) for t in times]
+
+
+def pair_table(sizes, repeats):
     print("%-4s %6s | %22s | %22s" % ("p", "n", "seminorm_p us", "apply_flap us"))
     print("%-4s %6s | %10s %11s | %10s %11s" % ("", "", "2 thr", "1 thr", "2 thr", "1 thr"))
     for p in EXPONENTS:
         for n in sizes:
             K = kernel.assemble_kernel(build_grid(0.0, 1.0, n), 0.9 / (p + 0.5), p)
             u = np.random.default_rng(n).standard_normal(n)
-            sem = _time_pair(lambda: kernel.seminorm_p(u, K), n, args.repeats)
-            flap = _time_pair(lambda: kernel.apply_flap(u, K), n, args.repeats)
+            sem = _time_pair(lambda: kernel.seminorm_p(u, K), n, repeats)
+            flap = _time_pair(lambda: kernel.apply_flap(u, K), n, repeats)
             print("%-4g %6d | %10.1f %11.1f | %10.1f %11.1f"
                   % (p, n, sem[0], sem[1], flap[0], flap[1]))
-    print()
+
+
+def stack_table(sizes, repeats):
     print("%-4s %6s %8s %5s | %16s %16s" % ("p", "n", "cap", "B", "seminorm_p us/pt",
                                            "apply_flap us/pt"))
     for p in EXPONENTS:
-        for n in STACK_SIZES:
+        for n in sizes:
             K = kernel.assemble_kernel(build_grid(0.0, 1.0, n), 0.9 / (p + 0.5), p)
-            for cap, B, sem, flap in _time_stacks(K, n, args.repeats):
+            for cap, B, sem, flap in _time_stacks(K, n, repeats):
                 label = "-" if cap is None else "2^%d%s" % (
                     cap.bit_length() - 1, "*" if cap == kernel._STACK_CAP else "")
                 print("%-4g %6d %8s %5d | %16.1f %16.1f" % (p, n, label, B, sem, flap))
+
+
+def layer_table(sizes, points, repeats):
+    print("%-4s %6s %3s | %12s %12s %12s" % ("p", "n", "B", "energy us", "gradient us",
+                                            "H.xi us"))
+    for p in EXPONENTS:
+        for n in sizes:
+            grid = build_grid(0.0, 1.0, n)
+            s = 0.9 / (p + 0.5)
+            prob = make_problem(grid, kernel.assemble_kernel(grid, s, p),
+                                make_potential(grid, constant=0.25), 0.5,
+                                make_nonlinearity(3.0, 1.0, p, s))
+            for B in points:
+                print("%-4g %6d %3d | %12.1f %12.1f %12.1f"
+                      % (p, n, B, *_time_layers(prob, B, repeats)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
+    args = parser.parse_args(argv)
+    pair_table([int(x) for x in args.sizes.split(",")], args.repeats)
+    print()
+    stack_table(STACK_SIZES, args.repeats)
+    print()
+    layer_table(LAYER_SIZES, LAYER_POINTS, args.repeats)
     return 0
 
 
