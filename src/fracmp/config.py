@@ -31,13 +31,12 @@ _FLOAT_KEYS = {"a", "b", "s", "p", "q", "f0", "theta", "V_const",
 _ALL_KEYS = _INT_KEYS | _STR_KEYS | _FLOAT_KEYS
 _ATTR = {"lambda": "lam", "format": "fmt"}
 _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
-# Largest dense storage a config may ask for.  A command holds at most the
-# n x n weight table and one n x n pair table at once, 16 n^2 bytes; at
-# p = 2, verify's linear-solver cross-check holds W, the quadratic form's
-# matrix and its Cholesky factor, 24 n^2 bytes.  So n goes up to 16384, or
-# 13377 at p = 2.  The same limit bounds the lambda grid, 8 bytes a lambda,
-# and the mountain pass's refined path of P = path_vertices segments,
-# (2P+1) n values of 8 bytes.
+# Largest dense storage a config may ask for: three n x n tables, 24 n^2
+# bytes, so n <= 13377.  Beside the weight table a command holds a pair table,
+# or the Hessian and the dense solve's copy (the saddle polish's Newton
+# fallback), or at p = 2 verify's quadratic form and its Cholesky factor.
+# The same limit bounds the lambda grid, 8 bytes a lambda, and the mountain
+# pass's refined path of P = path_vertices segments, (2P+1) n 8-byte values.
 MAX_TABLE_BYTES = 4 * 2 ** 30
 
 
@@ -81,16 +80,15 @@ def _check(cfg: Config) -> Config:
         raise ConfigurationError("need a < b, got a=%g b=%g" % (cfg.a, cfg.b))
     if cfg.n < 1:
         raise ConfigurationError("need n >= 1, got %d" % cfg.n)
-    tables = 3 if cfg.p == 2.0 else 2
-    need = 8 * tables * cfg.n ** 2
+    need = 24 * cfg.n ** 2
     if need > MAX_TABLE_BYTES:
         # a Decimal: n may be too large for the GiB figure to fit a float
         from decimal import Decimal
 
         raise ConfigurationError(
-            "n = %d needs %s GiB for %d n x n tables (%d n^2 bytes), more than "
-            "the %g GiB limit" % (cfg.n, format(Decimal(need) / 2 ** 30, ".3g"), tables,
-                                  8 * tables, MAX_TABLE_BYTES / 2 ** 30))
+            "n = %d needs %s GiB for 3 n x n tables (24 n^2 bytes), more than "
+            "the %g GiB limit" % (cfg.n, format(Decimal(need) / 2 ** 30, ".3g"),
+                                  MAX_TABLE_BYTES / 2 ** 30))
     if cfg.V_const is not None and cfg.V_file is not None:
         raise ConfigurationError("V_const and V_file are mutually exclusive")
     grid_keys = (cfg.lambda_start, cfg.lambda_stop, cfg.lambda_count)

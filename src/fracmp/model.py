@@ -36,7 +36,7 @@ from .errors import (
     UsageError,
 )
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, apply_flap, phi_p, seminorm_p
+from .kernel import Kernel, _pair_table, apply_flap, phi_p, seminorm_p
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,15 @@ def f_eval(s, nl: NonlinearitySpec):
         out = np.where(arr > -1.0, nl.f0 * (1.0 + arr), 0.0)
     pos = arr >= 0.0
     out[pos] = arr[pos] ** nl.q + nl.f0
+    return float(out) if np.isscalar(s) else out
+
+
+def f_prime(s, nl: NonlinearitySpec):
+    """f' at scalar or array s: q s^(q-1) for s >= 0 (0 included), f0 on (-1, 0), 0 below."""
+    arr = np.asarray(s, dtype=float)
+    out = np.where(arr > -1.0, nl.f0, 0.0)
+    pos = arr >= 0.0
+    out[pos] = nl.q * arr[pos] ** (nl.q - 1.0)
     return float(out) if np.isscalar(s) else out
 
 
@@ -346,6 +355,27 @@ def gradient(u, prob: Problem) -> np.ndarray:
     f *= prob.lam_h
     g -= f
     return g
+
+
+def hessian(u, prob: Problem) -> np.ndarray:
+    """The n x n Hessian of energy at one grid function u.
+
+    Off the diagonal -2(p-1) W_kl |u_k - u_l|^(p-2); on it minus the
+    off-diagonal row sum, plus (p-1) |u_k|^(p-2) (2 h t_k + h V_k)
+    - lambda h f'(u_k).  Built in place in the pair table |u_k - u_l|^(p-2),
+    so it holds one n x n array.  At p < 2 it is non-finite wherever two
+    nodes coincide or a node vanishes.
+    """
+    v = as_grid_function(u, prob.grid.n)
+    K = prob.kernel
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = _pair_table(v[None], K.p - 2.0, False, 1)[0]
+        H *= K.W
+        H *= -2.0 * (K.p - 1.0)
+        np.fill_diagonal(H, 0.0)
+        diag = (K.p - 1.0) * np.abs(v) ** (K.p - 2.0) * (2.0 * K.tail_weight + prob.hV)
+        np.fill_diagonal(H, diag - prob.lam_h * f_prime(v, prob.nl) - H.sum(axis=1))
+    return H
 
 
 def residual_norm(u, prob: Problem) -> float:

@@ -32,6 +32,7 @@ from .model import (
     energy,
     f_eval,
     gradient,
+    hessian,
     operator_action,
     primitive_envelope,
     residual_norm,
@@ -203,8 +204,7 @@ def ring_samples(K: Kernel, radius: float, count: int, seed: int = 0) -> list[np
     return out
 
 
-def descend(u0, prob: Problem, tol: float, max_iter: int | None = None,
-            seed: int = 0) -> CriticalPoint:
+def descend(u0, prob: Problem, tol: float, max_iter: int | None = None) -> CriticalPoint:
     """Monotone descent of the energy to a residual-tol critical point.
 
     Divergence (the functional is unbounded below) is detected and raised
@@ -235,36 +235,32 @@ def descend(u0, prob: Problem, tol: float, max_iter: int | None = None,
     if cp.residual > tol:
         raise SolverError("descent stalled at residual %g > tol %g" % (cp.residual, tol),
                           last=cp, iterations=cp.iterations, residual=cp.residual)
-    tag = classify(cp, prob, max(1e-3, 1e-2 * norm_W(cp.u, prob.kernel)), 20, seed=seed)
-    return replace(cp, tag=tag)
+    return replace(cp, tag=classify(cp, prob))
 
 
-def classify(cp, prob: Problem, rho: float, m: int, seed: int = 0) -> str:
-    """Probe the rho-sphere around a critical point with m seeded directions.
+def classify(cp, prob: Problem) -> str:
+    """local-min when the energy's Hessian H at the point is positive definite.
 
-    All probes strictly higher: local-min; anything else: unknown.  Probes
-    can refute a local minimum but never certify a saddle.
-
-    Two of the m directions are the estimated softest-curvature direction
-    and its negative; with many nodes a purely random probe is nearly
-    orthogonal to the lone descent direction of a saddle and would report
-    local-min for it.  Deterministic for a fixed seed.
+    Anything else is unknown.  H is eliminated in place without pivoting:
+    by Sylvester's law of inertia it is positive definite exactly when every
+    pivot (the D of H = L D L^T) is positive.  A pivot counts above 1e-10
+    times the largest diagonal entry, a margin free of H's scale, so the
+    test reads the same on H/h, whose spectrum does not depend on n.  A
+    non-finite entry of H makes a diagonal one non-finite: no pivot passes.
+    Elementwise numpy only: a first BLAS or LAPACK call costs more.
     """
     u = cp.u if isinstance(cp, CriticalPoint) else as_grid_function(cp, prob.grid.n)
-    if rho <= 0.0:
-        raise UsageError("probe radius must be positive, got %g" % rho)
-    J0 = energy(u, prob)
-    eps = 1e-12 * (1.0 + abs(J0))
-    rng = np.random.default_rng(seed)
-    fd_eps = 1e-5 * max(float(np.max(np.abs(u))), 1.0)
-    soft = _negative_direction(u, rng.standard_normal(prob.grid.n), prob, fd_eps)
-    xis = np.array([soft, -soft] + [rng.standard_normal(prob.grid.n)
-                                    for _ in range(int(m) - 2)])[:int(m)]
-    dirs = rho * xis / norm_W(xis, prob.kernel)[:, None]
-    vals = energy(u + dirs, prob)
-    if np.all(vals > J0 + eps):
-        return "local-min"
-    return "unknown"
+    H = hessian(u, prob)
+    floor = 1e-10 * float(np.abs(H.diagonal()).max())
+    for k in range(len(H)):
+        d = H[k, k]
+        if not d > floor:
+            return "unknown"
+        # H is symmetric: row k stands for column k.  32 rows at a time, so
+        # the update's temporary is small beside H
+        for r0 in range(k + 1, len(H), 32):
+            H[r0:r0 + 32, k + 1:] -= np.multiply.outer(H[k, r0:r0 + 32] / d, H[k, k + 1:])
+    return "local-min"
 
 
 def _reparametrize(path: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -589,9 +585,9 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
     the direction estimate is refreshed periodically from finite-difference
     curvature and the step length comes from a sampled curvature bound.
     Keeps and returns the best-residual iterate, with the flow steps
-    taken; if the flow stalls above tolerance a damped Newton-Krylov
-    fallback is tried from the best iterate, accepted only when it lands
-    near the recorded path level.
+    taken; if the flow stalls above tolerance a damped Newton iteration
+    with the exact Hessian is tried from the best iterate, accepted only
+    when it lands near the recorded path level.
     """
     sqrt_h = np.sqrt(prob.h)
     scale = max(float(np.max(np.abs(w0))), 1e-12)
@@ -633,42 +629,33 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
                     if r > 50.0 * r_best or val > value_hi + margin or val < value_lo - margin:
                         break  # escaped the saddle bracket; restart smaller
     if r_best > tol:
-        w_newton = _newton_fallback(w_best, prob, tol)
-        if w_newton is not None:
-            r_newton = residual_norm(w_newton, prob)
-            val = energy(w_newton, prob)
-            lo, hi = _level_bracket(value_hi)
-            if r_newton < r_best and lo <= val <= hi:
-                log.info("saddle polish used the Newton fallback "
-                         "(flow residual %g, Newton residual %g)", r_best, r_newton)
-                w_best = w_newton
+        # damped Newton on grad J = 0 from the best iterate, backtracking on ||grad J||
+        w, g = w_best, gradient(w_best, prob)
+        r = vector_norm(g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(50):
+                try:
+                    dw = np.linalg.solve(hessian(w, prob), g)
+                except np.linalg.LinAlgError:
+                    break
+                for t in 0.5 ** np.arange(11):
+                    z = w - t * dw
+                    if np.isfinite(z).all():
+                        gz = gradient(z, prob)
+                        rz = vector_norm(gz)
+                        if rz < (1.0 - 0.5 * t) * r:
+                            break
+                else:
+                    break
+                w, g, r = z, gz, rz
+        r_newton = float(r / sqrt_h)
+        val = energy(w, prob)
+        lo, hi = _level_bracket(value_hi)
+        if r_newton < r_best and lo <= val <= hi:
+            log.info("saddle polish used the Newton fallback "
+                     "(flow residual %g, Newton residual %g)", r_best, r_newton)
+            w_best = w
     return w_best, it_total
-
-
-def _newton_fallback(w0: np.ndarray, prob: Problem, tol: float) -> np.ndarray | None:
-    """Jacobian-free Newton-Krylov root solve of the gradient system.
-
-    scipy is imported here, outside the try, so that only this fallback
-    loads it and a missing scipy is an error rather than a failed root.
-    """
-    from scipy import optimize
-
-    sqrt_h = np.sqrt(prob.h)
-
-    def fun(z):
-        if not np.all(np.isfinite(z)):
-            return np.full_like(z, 1e30)
-        return gradient(z, prob)
-
-    try:
-        sol = optimize.root(fun, w0, method="krylov",
-                            options={"fatol": 0.5 * tol * sqrt_h / np.sqrt(prob.grid.n),
-                                     "maxiter": 300})
-    except Exception:
-        return None
-    if not np.all(np.isfinite(sol.x)):
-        return None
-    return np.asarray(sol.x, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -768,8 +755,7 @@ def find_second_solution(prob: Problem, first: CriticalPoint, tol: float,
     trivial_zero = f_eval(0.0, prob.nl) == 0.0
     for idx, u0 in enumerate(starts):
         try:
-            cand = descend(u0, prob, tol, max_iter=max_iter,
-                           seed=seed + 17 * idx)
+            cand = descend(u0, prob, tol, max_iter=max_iter)
         except SolverError as exc:
             log.debug("second-solution start %d failed: %s", idx, exc)
             continue

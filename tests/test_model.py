@@ -1,8 +1,9 @@
-"""Nonlinearity family, hypothesis validators, energy and its gradient.
+"""Nonlinearity family, hypothesis validators, energy, gradient and Hessian.
 
 Oracles: the sampled superlinearity deficit s f(s) - theta F(s) for the
 exact superlinearity rule, independent fsum-based recomputation for the
-energy, and central finite differences for the gradient.
+energy, central finite differences for the gradient, for f' and for the
+Hessian, and at p = 2 the quadratic form's matrix for the Hessian.
 """
 
 import math
@@ -31,10 +32,12 @@ from fracmp import (
     make_problem,
     phi_p,
     primitive_envelope,
+    quadratic_form_matrix,
     residual_norm,
     validate_AR,
     validate_H1,
 )
+from fracmp.model import f_prime, hessian
 
 
 def test_phi_p_values():
@@ -394,3 +397,91 @@ def test_residual_norm_definition():
     u = rng.standard_normal(30)
     expected = float(np.linalg.norm(gradient(u, prob))) / np.sqrt(prob.h)
     assert residual_norm(u, prob) == pytest.approx(expected, rel=1e-14)
+
+
+def test_f_prime_matches_finite_differences():
+    # central differences of f_eval inside each branch; the right branch at 0
+    rng = np.random.default_rng(53)
+    eps = 1e-6
+    for q, f0 in ((3.0, 1.0), (2.5, -0.5), (1.7, 0.0)):
+        nl = NonlinearitySpec(q=q, f0=f0, theta=q)
+        for lo, hi in ((0.05, 4.0), (-0.95, -0.05), (-5.0, -1.05)):
+            s = rng.uniform(lo, hi, 50)
+            fd = (f_eval(s + eps, nl) - f_eval(s - eps, nl)) / (2.0 * eps)
+            np.testing.assert_allclose(f_prime(s, nl), fd, rtol=1e-7, atol=1e-7)
+        assert f_prime(0.0, nl) == 0.0
+        assert f_prime(-0.5, nl) == f0
+        assert f_prime(-2.0, nl) == 0.0
+        assert isinstance(f_prime(2.0, nl), float)
+        assert f_prime(2.0, nl) == q * 2.0 ** (q - 1.0)
+
+
+def _sampled_potential(n, kind, rng):
+    if kind == "constant":
+        return {"constant": 0.25}
+    return {"values": rng.uniform(-1.0, 2.0, n)}
+
+
+def test_hessian_matches_finite_differences_property():
+    # every column of H against central differences of the gradient, for p
+    # at and above 2, with a constant and a sampled potential
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(n=st.integers(1, 32), p=st.sampled_from((2.0, 2.5, 3.0)),
+               f0=st.sampled_from((-0.5, 0.0, 1.0)), seed=st.integers(0, 2 ** 32 - 1),
+               V=st.sampled_from(("constant", "sampled")), scale=st.floats(0.1, 3.0))
+    def check(n, p, f0, seed, V, scale):
+        rng = np.random.default_rng(seed)
+        s = 0.9 / (p + 0.5)
+        g = build_grid(0.0, 1.0, n)
+        prob = make_problem(g, assemble_kernel(g, s, p),
+                            make_potential(g, **_sampled_potential(n, V, rng)), 0.7,
+                            make_nonlinearity(p + 0.5, f0, p, s))
+        u = scale * rng.standard_normal(n)
+        eps = 1e-6 * scale
+        step = eps * np.eye(n)
+        G = gradient(np.concatenate([u + step, u - step]), prob)
+        fd = (G[:n] - G[n:]) / (2.0 * eps)
+        H = hessian(u, prob)
+        assert H.shape == (n, n)
+        np.testing.assert_array_equal(H, H.T)
+        np.testing.assert_allclose(H, fd, rtol=0.0, atol=1e-6 * max(1.0, np.abs(H).max()))
+
+    check()
+
+
+def test_hessian_at_p2_is_the_quadratic_form():
+    # H = G + h diag(V - lambda f'(u)): off the diagonal -2 W to the bit
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(n=st.integers(1, 48), f0=st.sampled_from((-0.5, 0.0, 1.0)),
+               seed=st.integers(0, 2 ** 32 - 1), V=st.sampled_from(("constant", "sampled")))
+    def check(n, f0, seed, V):
+        rng = np.random.default_rng(seed)
+        g = build_grid(0.0, 1.0, n)
+        K = assemble_kernel(g, 0.4, 2.0)
+        prob = make_problem(g, K, make_potential(g, **_sampled_potential(n, V, rng)), 0.7,
+                            make_nonlinearity(3.0, f0, 2.0, 0.4))
+        u = 2.0 * rng.standard_normal(n)
+        H = hessian(u, prob)
+        want = quadratic_form_matrix(K)
+        want[np.diag_indices(n)] += g.h * (prob.V.values - prob.lam * f_prime(u, prob.nl))
+        off = ~np.eye(n, dtype=bool)
+        assert H[off].tobytes() == want[off].tobytes()
+        np.testing.assert_allclose(np.diag(H), np.diag(want), rtol=1e-14,
+                                   atol=1e-15 * np.abs(want).max())
+
+    check()
+
+
+def test_hessian_non_finite_below_p2():
+    # at p < 2, |d|^(p-2) is infinite where nodes coincide or vanish
+    prob = _problem(n=6, s=0.3, p=1.5, q=1.5)
+    assert np.all(np.isfinite(hessian(np.arange(1.0, 7.0), prob)))
+    with np.errstate(all="raise"):
+        H = hessian(np.array([1.0, 1.0, 2.0, 3.0, 0.0, 4.0]), prob)
+    assert not np.isfinite(H[0, 1]) and not np.isfinite(H[4, 4])

@@ -275,12 +275,15 @@ def test_cli_solve_bad_ref_exits_2(tmp_path, capsys, monkeypatch):
     assert "different grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", [1000000, 14000, pytest.param(10 ** 200, id="1e200")])
-def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch, n):
+@pytest.mark.parametrize("n, p", [
+    pytest.param(1000000, 2, id="1000000"), pytest.param(14000, 2, id="14000"),
+    pytest.param(10 ** 200, 2, id="1e200"), pytest.param(16384, 2.5, id="16384-p2.5")])
+def test_cli_n_over_memory_limit_exits_2(tmp_path, capsys, monkeypatch, n, p):
     # rejected while the config is read, before any grid or table exists;
-    # at p = 2 the limit counts verify's three n x n tables (n <= 13377)
+    # the limit counts three n x n tables at every p (n <= 13377)
     monkeypatch.setattr("fracmp.cli.assemble", None)
-    path = _write(tmp_path, SMALL.replace("n = 32", "n = %d" % n))
+    text = SMALL.replace("n = 32", "n = %d" % n).replace("p = 2", "p = %g" % p)
+    path = _write(tmp_path, text.replace("s = 0.4", "s = 0.3"))
     assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n = %d needs" % n in err and "3 n x n tables" in err and "GiB" in err
@@ -406,7 +409,7 @@ def test_cli_verify_all_checks_pass(tmp_path, capsys):
     assert main(["verify", _write(tmp_path, SMALL)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "all checks passed"
-    assert sum(ln.startswith("ok   ") for ln in lines) == 10
+    assert sum(ln.startswith("ok   ") for ln in lines) == 9
 
 
 def test_cli_verify_reports_stalled_eigenpair(tmp_path, capsys):
@@ -575,14 +578,29 @@ def test_cli_verify_mountain_pass_honours_cap(tmp_path, capsys, monkeypatch):
 
 # Run in a fresh interpreter: the test session itself holds scipy for its
 # oracles.  One CPU keeps the sweep's rows in this process, where they show.
+# The mountain pass at the end is an instance whose saddle polish takes the
+# Newton fallback.
 _NO_SCIPY_RUN = """
+import logging
 import sys
 import fracmp
 import fracmp.cli
+from fracmp import (assemble_kernel, build_grid, certify_constants, construct_endpoints,
+                    first_eigenpair, make_nonlinearity, make_potential, make_problem,
+                    mountain_pass)
 fracmp.kernel._CPUS = 1
 cfg, sweep_cfg, out = sys.argv[1:]
 for command, path in (("eigen", cfg), ("torsion", cfg), ("solve", cfg), ("sweep", sweep_cfg)):
     assert fracmp.cli.main([command, path, "--out", out]) == 0, command
+logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+grid = build_grid(0.0, 1.0, 64)
+kern = assemble_kernel(grid, 0.2, 3.0)
+prob = make_problem(grid, kern, make_potential(grid, constant=0.25), 0.5,
+                    make_nonlinearity(4.0, 1.0, 3.0, 0.2))
+phi1 = first_eigenpair(kern, grid, 1e-9).phi1
+consts = certify_constants(prob, phi1, seed=0)
+e0, e1, _, _ = construct_endpoints(prob, phi1, consts)
+mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
 print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
 """
 
@@ -594,4 +612,6 @@ def test_workload_commands_load_no_scipy(tmp_path):
          _write(tmp_path, SMALL_SWEEP, "sweep.cfg"), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    lines = run.stdout.splitlines()
+    assert any(ln.startswith("saddle polish used the Newton fallback") for ln in lines)
+    assert lines[-1] == "[]"

@@ -3,8 +3,8 @@
 A traced name that no longer exists would make the traced benchmark run
 fail when it installs its wrappers, so every name is checked here.  The
 table is read from the tracer's source, without importing the tracer.
-tools/kernel_timing.py prints each of its tables once at a tiny size, with
-no timing gate.
+tools/kernel_timing.py prints each of its tables once at a tiny size, and
+tools/phase_timing.py its phase table at n = 16, with no timing gate.
 """
 
 import ast
@@ -37,11 +37,15 @@ def test_every_traced_name_exists():
     assert not missing
 
 
-def test_kernel_timing_tables_run(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "kernel_timing", ROOT / "tools" / "kernel_timing.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / (name + ".py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_kernel_timing_tables_run(monkeypatch, capsys):
+    tool = _tool("kernel_timing")
     monkeypatch.setattr(tool, "ROUND_S", 1e-4)
     tool.pair_table([8], 1)
     tool.stack_table([8], 1)
@@ -51,3 +55,15 @@ def test_kernel_timing_tables_run(monkeypatch, capsys):
     # two exponents: one pair-table row, B = 1 plus four caps, two layer rows
     assert len(timed) == 2 * (1 + 5 + 2)
     assert all(float(r[-1]) > 0.0 for r in timed)
+
+
+def test_phase_timing_table_runs(capsys):
+    assert _tool("phase_timing").main(["--sizes", "16"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split("|")
+    assert row[0].split() == ["16"]
+    certify, mp, polish, second = map(float, row[1].split())
+    assert min(certify, mp, polish, second) > 0.0 and polish <= mp
+    # one negative eigenvalue at the mountain-pass point, none at the second
+    mp_eig = [float(x) for x in row[2].split(",")]
+    second_eig = [float(x) for x in row[3].split(",")]
+    assert mp_eig[0] < 0.0 < mp_eig[1] and 0.0 < second_eig[0] <= second_eig[1]
