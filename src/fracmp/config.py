@@ -20,7 +20,7 @@ from .errors import (
     PotentialGateError,
 )
 from .grid import Grid, read_gridfn
-from .model import Potential, critical_exponent, make_potential
+from .model import Potential, exponent_window, make_potential
 
 _ITER_CAPS = ("eigen_iter_cap", "torsion_iter_cap", "solve_iter_cap", "mp_iter_cap")
 _INT_KEYS = {"n", "lambda_count", "path_vertices", "seed", *_ITER_CAPS}
@@ -206,11 +206,10 @@ def config_gate_violations(cfg: Config, lambda1: float | None = None,
         out.append(OperatorRegimeError(
             "need 0 < s < 1, p > 1, s*p < 1; got s=%g p=%g" % (cfg.s, cfg.p)))
     else:
-        pstar = critical_exponent(cfg.p, cfg.s)
-        if not (cfg.p - 1.0 < cfg.q < pstar - 1.0):
+        lo, hi = exponent_window(cfg.p, cfg.s)
+        if not lo < cfg.q < hi:
             out.append(ExponentWindowError(
-                "need p-1 < q < p_s^*-1; got q=%g, window (%g, %g)"
-                % (cfg.q, cfg.p - 1.0, pstar - 1.0)))
+                "need p-1 < q < p_s^*-1; got q=%g, window (%g, %g)" % (cfg.q, lo, hi)))
     if lambda1 is not None and potential is not None:
         if potential.cV >= lambda1:
             out.append(PotentialGateError(

@@ -8,11 +8,10 @@ The built-in nonlinearity is one parametric family covering f(0) > 0,
     f(s) = 0                 for s <= -1,
 
 with primitive F(s) = integral of f from 0 to s, so F is constant below
--1 and F(0) = 0.  The growth hypothesis is certified by sampling (its
-constants feed the lambda thresholds, and a sampled certificate is the
-honest desk-scale check), with the family's known asymptote
-f(s)/s^q -> 1 folded into the envelope search.  The superlinearity
-hypothesis is a yes/no fact about the family and is decided exactly.
+-1 and F(0) = 0.  Both hypotheses on f are yes/no facts about this
+formula and are decided from it exactly: the growth hypothesis is the
+exponent window plus f0 > -1, and the superlinearity hypothesis a rule on
+theta, q and f0.
 
 energy and gradient take one grid function (n,) or a stack (B, n) and
 return one energy or gradient row per row.  The stack goes through the
@@ -23,7 +22,7 @@ kernel call, before any product with it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,19 +40,14 @@ from .kernel import Kernel, _pair_table, apply_flap, phi_p, seminorm_p
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """The built-in family and its certified growth constants.
+    """The family f(s) = s^q + f0 with its superlinearity exponent theta.
 
-    A, B certify the growth envelope A(s^q - 1) <= f(s) <= B(s^q + 1) on
-    the validation samples; they are None until validate_H1 has run.
-    Superlinearity with exponent theta is decided exactly by validate_AR
-    and leaves no constant behind.
+    validate_H1 and validate_AR decide its two hypotheses exactly.
     """
 
     q: float
     f0: float
     theta: float
-    A: float | None = None
-    B: float | None = None
 
 
 def default_theta(q: float, p: float) -> float:
@@ -126,44 +120,24 @@ def exponent_window(p: float, s: float) -> tuple[float, float]:
     return p - 1.0, critical_exponent(p, s) - 1.0
 
 
-_H1_SAMPLES = np.geomspace(1e-6, 1e6, 4001)
 # Sampled suprema of the primitive envelope are inflated by this factor.
 _ENVELOPE_INFLATE = 1.05
 
 
-def validate_H1(nl: NonlinearitySpec, p: float, s: float) -> tuple[float, float]:
-    """Certify the growth envelope; return the sampled-optimal (A, B).
+def validate_H1(nl: NonlinearitySpec, p: float, s: float) -> None:
+    """Decide the growth hypothesis: q in the window, and f0 > -1.
 
-    B is the smallest and A the largest constant such that
-    A(t^q - 1) <= f(t) <= B(t^q + 1) holds on the log sample grid
-    [1e-6, 1e6], with the family asymptote ratio 1 included.  Degenerate
-    envelopes (the f0 <= -1 regime, which pinches A against its upper
-    limit near t = 1) are rejected.
+    An envelope A(t^q - 1) <= f(t) <= B(t^q + 1) on t > 0 needs A >= -f0
+    near t = 0 and A <= 1 on t > 1 (no A at all if f0 < -1); B = max(1, f0)
+    and A = 1 fit iff -f0 <= 1.  The margin 1e-9 rejects f0 = -1 (A pinched).
     """
     lo, hi = exponent_window(p, s)
     if not lo < nl.q < hi:
         raise ExponentWindowError(
             "q=%g outside the window (%g, %g) for p=%g, s=%g" % (nl.q, lo, hi, p, s)
         )
-    t = _H1_SAMPLES
-    ft = f_eval(t, nl)
-    if f_eval(1.0, nl) < 0.0:
-        raise HypothesisError(
-            "envelope fails at s=1: f(1) = %g < 0 needs A(1-1) <= f(1)" % f_eval(1.0, nl)
-        )
-    B = max(1.0, float(np.max(ft / (t ** nl.q + 1.0))))
-    above = t > 1.0
-    A_hi = min(1.0, float(np.min(ft[above] / (t[above] ** nl.q - 1.0))))
-    neg = (t < 1.0) & (ft < 0.0)
-    A_lo = float(np.max(ft[neg] / (t[neg] ** nl.q - 1.0))) if np.any(neg) else 0.0
-    if A_hi <= 0.0 or A_lo >= A_hi - 1e-9:
-        raise HypothesisError(
-            "no admissible A: lower requirement %g meets upper limit %g" % (A_lo, A_hi)
-        )
-    A = A_hi
-    if np.any(A * (t ** nl.q - 1.0) > ft + 1e-12) or np.any(ft > B * (t ** nl.q + 1.0) + 1e-12):
-        raise HypothesisError("envelope violated on samples with A=%g, B=%g" % (A, B))
-    return A, B
+    if not -nl.f0 < 1.0 - 1e-9:
+        raise HypothesisError("no growth envelope: f0 = %g, need f0 > -1" % nl.f0)
 
 
 def validate_AR(nl: NonlinearitySpec, p: float) -> None:
@@ -190,25 +164,23 @@ def make_nonlinearity(q: float, f0: float, p: float, s: float,
     f0 = float(f0)
     theta = default_theta(q, p) if theta is None else float(theta)
     nl = NonlinearitySpec(q=q, f0=f0, theta=theta)
-    A, B = validate_H1(nl, p, s)
+    validate_H1(nl, p, s)
     validate_AR(nl, p)
-    return replace(nl, A=A, B=B)
+    return nl
 
 
 def primitive_envelope(nl: NonlinearitySpec) -> tuple[float, float, float]:
     """Constants (A1, C1, B1) boxing the primitive F.
 
-    F(s) >= A1 (s^{q+1} - C1) for s >= 0 with A1 = A/(2(q+1)) (half the
-    integrated envelope constant, so C1 stays finite for f0 < 0), and
+    F(s) >= A1 (s^{q+1} - C1) for s >= 0 with A1 = 1/(2(q+1)) (half the
+    integrated envelope constant A = 1, so C1 stays finite for f0 < 0), and
     F(s) <= B1 (|s|^{q+1} + 1) for all s.  Sampled suprema are inflated a
     little so the certificates err on the safe side; C1 has a small floor
     to keep downstream threshold formulas finite when the true supremum
-    is zero.
+    is zero.  The spec is taken as validated (validate_H1).
     """
-    if nl.A is None or nl.B is None:
-        raise UsageError("nonlinearity must be validated before use")
     q1 = nl.q + 1.0
-    A1 = nl.A / (2.0 * q1)
+    A1 = 1.0 / (2.0 * q1)
     t_pos = np.geomspace(1e-8, 1e6, 4001)
     t_neg = np.linspace(-2.0, 0.0, 801)
     t_all = np.concatenate([t_neg, t_pos])

@@ -36,6 +36,7 @@ from .model import (
     operator_action,
     primitive_envelope,
     residual_norm,
+    validate_H1,
 )
 
 log = logging.getLogger(__name__)
@@ -147,8 +148,9 @@ def certify_constants(prob: Problem, phi1, *, seed: int = 0) -> ScalingConstants
     (the Poincare step of the chain is then exact for that function), the
     embedding constant is estimated by ascent and inflated, and tau / c /
     the two lambda thresholds follow the analysis verbatim; the second
-    threshold is capped at 1 per its statement.
+    threshold is capped at 1 per its statement; validate_H1 runs first.
     """
+    validate_H1(prob.nl, prob.p, prob.s)
     phi = as_grid_function(phi1, prob.grid.n)
     K = prob.kernel
     grid = prob.grid
@@ -600,12 +602,13 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
     if float(np.linalg.norm(v0)) == 0.0:
         v0 = np.ones_like(w0)
     eta0 = _stable_step(w0, v0, prob, fd_eps)
-    for round_ in range(3):
-        # an iterate that escapes overflows on its way out; the non-finite
-        # iterate is the restart signal, so the overflow is not reported
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an iterate that escapes overflows on its way out; the non-finite
+    # iterate is the restart signal, so the overflow is not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_start = _negative_direction(w0, v0, prob, fd_eps)
+        for round_ in range(3):
             w = w0.copy()
-            v = _negative_direction(w, v0, prob, fd_eps)
+            v = v_start
             eta = eta0 / (3.0 ** round_)
             since_refresh = 0
             while it_total < POLISH_CAP:

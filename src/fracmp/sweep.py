@@ -35,6 +35,8 @@ from .solve import (
 )
 
 CSV_HEADER = "lambda,norm_W,norm_inf,energy,residual,positive,distinct_count,in_window"
+# A field's JSON types, the last its CSV type; a field not named is a number.
+_FIELD_TYPES = {"positive": (bool,), "in_window": (bool,), "distinct_count": (int,)}
 
 
 @dataclass(frozen=True)
@@ -307,8 +309,9 @@ def export(records, fmt: str, path: str) -> None:
 def load_records(path: str) -> list[dict]:
     """Read an exported table back as dicts keyed by the CSV field names.
 
-    A path ending in .json is read as JSON, any other as CSV.  A table that
-    is not UTF-8 or not in the export layout is a ConfigurationError.
+    A path ending in .json is read as JSON, any other as CSV; either way a
+    field has its CSV type.  A table that is not UTF-8, not in the export
+    layout or with a field of another type is a ConfigurationError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -320,10 +323,17 @@ def load_records(path: str) -> list[dict]:
     fields = CSV_HEADER.split(",")
     if path.endswith(".json"):
         try:
-            return [{k: rec[k] for k in fields} for rec in json.loads(text)["records"]]
+            records = [{k: rec[k] for k in fields} for rec in json.loads(text)["records"]]
         except (ValueError, LookupError, TypeError) as exc:
             raise ConfigurationError("%s: not a JSON sweep table (%s: %s)"
                                      % (path, type(exc).__name__, exc)) from exc
+        for rec in records:
+            for key, value in rec.items():
+                kinds = _FIELD_TYPES.get(key, (int, float))
+                if type(value) not in kinds:  # type(True) is bool, not int
+                    raise ConfigurationError("%s: bad %s value %r" % (path, key, value))
+                rec[key] = kinds[-1](value)
+        return records
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError("%s: missing or wrong CSV header" % path)
@@ -335,12 +345,8 @@ def load_records(path: str) -> list[dict]:
         rec: dict = {}
         try:
             for key, part in zip(fields, parts):
-                if key in ("positive", "in_window"):
-                    rec[key] = part == "true"
-                elif key == "distinct_count":
-                    rec[key] = int(part)
-                else:
-                    rec[key] = float(part)
+                kind = _FIELD_TYPES.get(key, (int, float))[-1]
+                rec[key] = part == "true" if kind is bool else kind(part)
         except ValueError as exc:
             raise ConfigurationError("%s: bad CSV row %r (%s)" % (path, ln, exc)) from exc
         out.append(rec)

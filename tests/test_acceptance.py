@@ -238,8 +238,8 @@ def test_criterion_8_hypothesis_validators(capsys):
 
     for f0 in (0.0, 1.0, -0.5):
         try:
-            nl = make_nonlinearity(3.0, f0, 2.0, 0.4)
-            accepted = np.isfinite(nl.A)
+            make_nonlinearity(3.0, f0, 2.0, 0.4)
+            accepted = True
         except HypothesisError:
             accepted = False
         decisions.append((True, accepted))

@@ -117,19 +117,74 @@ def test_exponent_window_arithmetic():
 
 def test_validate_H1_accepts_shipped_specs():
     for f0 in (0.0, 1.0, -0.5):
-        A, B = validate_H1(_spec(f0=f0), 2.0, 0.4)
-        assert A == pytest.approx(1.0)
-        assert B == pytest.approx(1.0)
+        assert validate_H1(_spec(f0=f0), 2.0, 0.4) is None
 
 
 def test_validate_H1_envelope_holds_on_samples():
+    # an accepted spec meets the growth envelope with A = 1, B = max(1, f0)
     s = np.geomspace(1e-6, 1e6, 4001)
-    for f0 in (0.0, 1.0, -0.5):
+    for f0 in (0.0, 1.0, -0.5, -1.0 + 1e-6, 50.0):
         nl = _spec(f0=f0)
-        A, B = validate_H1(nl, 2.0, 0.4)
+        validate_H1(nl, 2.0, 0.4)
         f = f_eval(s, nl)
-        assert np.all(A * (s ** 3 - 1.0) <= f + 1e-12)
-        assert np.all(f <= B * (s ** 3 + 1.0) + 1e-12)
+        assert np.all(s ** 3 - 1.0 <= f + 1e-12)
+        assert np.all(f <= max(1.0, f0) * (s ** 3 + 1.0) + 1e-12)
+
+
+def _sampled_H1_accepts(nl):
+    # the rule validate_H1 applied on 4,001 samples before it was decided
+    # from the formula, kept as an oracle: the largest A and smallest B
+    # fitting A(t^q - 1) <= f(t) <= B(t^q + 1) on the samples
+    t = np.geomspace(1e-6, 1e6, 4001)
+    ft = f_eval(t, nl)
+    if f_eval(1.0, nl) < 0.0:
+        return False
+    B = max(1.0, float(np.max(ft / (t ** nl.q + 1.0))))
+    above = t > 1.0
+    A_hi = min(1.0, float(np.min(ft[above] / (t[above] ** nl.q - 1.0))))
+    neg = (t < 1.0) & (ft < 0.0)
+    A_lo = float(np.max(ft[neg] / (t[neg] ** nl.q - 1.0))) if np.any(neg) else 0.0
+    if A_hi <= 0.0 or A_lo >= A_hi - 1e-9:
+        return False
+    return not (np.any(A_hi * (t ** nl.q - 1.0) > ft + 1e-12)
+                or np.any(ft > B * (t ** nl.q + 1.0) + 1e-12))
+
+
+def test_validate_H1_closed_form_property():
+    # q inside the window: accepted iff -f0 < 1 - 1e-9, and the same
+    # decision as the sampled rule away from the margin f0 in [-1, -1 + 1e-9],
+    # where the sampled rule's decision moves with q; q outside it: the
+    # window error, whatever f0
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(p=st.floats(1.1, 3.0), sp=st.floats(0.05, 0.9),
+               q_at=st.floats(0.01, 0.99), f0=st.floats(-2.0, 1e3),
+               outside=st.sampled_from((None, "below", "above")))
+    @hyp.example(p=2.0, sp=0.8, q_at=0.25, f0=-1.0 + 1e-9, outside=None)
+    @hyp.example(p=2.0, sp=0.8, q_at=0.25, f0=-1.0 + 2e-9, outside=None)
+    @hyp.example(p=2.0, sp=0.8, q_at=0.25, f0=-1.0, outside=None)
+    def check(p, sp, q_at, f0, outside):
+        s = sp / p
+        lo, hi = exponent_window(p, s)
+        if outside is None:
+            nl = _spec(q=lo + q_at * (hi - lo), f0=f0)
+        else:
+            nl = _spec(q=lo * q_at if outside == "below" else hi / q_at, f0=f0)
+            with pytest.raises(ExponentWindowError):
+                validate_H1(nl, p, s)
+            return
+        try:
+            validate_H1(nl, p, s)
+            accepted = True
+        except HypothesisError:
+            accepted = False
+        assert accepted == (-f0 < 1.0 - 1e-9)
+        if not -1.0 - 1e-12 <= f0 <= -1.0 + 2e-9:
+            assert accepted == _sampled_H1_accepts(nl)
+
+    check()
 
 
 def test_validate_H1_rejects_exponent_window():
@@ -203,8 +258,14 @@ def test_validate_AR_agrees_with_sampled_deficit_property():
 
 def test_make_nonlinearity_certifies_everything():
     nl = make_nonlinearity(3.0, 1.0, 2.0, 0.4)
+    assert nl == NonlinearitySpec(q=3.0, f0=1.0, theta=default_theta(3.0, 2.0))
     assert nl.theta == pytest.approx(3.8)
-    assert (nl.A, nl.B) == (pytest.approx(1.0), pytest.approx(1.0))
+    with pytest.raises(ExponentWindowError):
+        make_nonlinearity(9.5, 1.0, 2.0, 0.4)
+    with pytest.raises(HypothesisError, match="need f0 > -1"):
+        make_nonlinearity(3.0, -1.5, 2.0, 0.4)
+    with pytest.raises(HypothesisError, match="theta"):
+        make_nonlinearity(3.0, 1.0, 2.0, 0.4, theta=4.5)
 
 
 def test_primitive_envelope_frozen_values():

@@ -9,6 +9,7 @@ frozen iterates.
 
 import functools
 import logging
+import math
 import re
 import warnings
 
@@ -18,6 +19,9 @@ import pytest
 import fracmp.solve
 from fracmp import (
     CriticalPoint,
+    ExponentWindowError,
+    HypothesisError,
+    NonlinearitySpec,
     PreconditionError,
     SolverError,
     UsageError,
@@ -97,6 +101,43 @@ def test_sobolev_constant_dominates_samples(kernel96, grid96, consts96):
     # raw estimate sits below its inflated version
     raw = sobolev_constant(kernel96, grid96, 4.0, seed=0)
     assert raw < consts96.sobolev
+
+
+def test_sobolev_constant_bounds_independent_maximum(kernel96, grid96, consts96):
+    # L-BFGS-B on log ||u||_4 - log S(u)^(1/2), an ascent independent of
+    # sobolev_constant's, from the hat and three Gaussian bumps; its best
+    # quotient bounds the raw estimate from above and the certificate from
+    # below
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    h, t = grid96.h, 4.0
+
+    def neg_log_quotient(u):
+        mass = h * float(np.sum(np.abs(u) ** t))
+        S = seminorm_p(u, kernel96)
+        grad = -h * phi_p(u, t) / mass + apply_flap(u, kernel96) / (2.0 * S)
+        return -math.log(mass) / t + math.log(S) / 2.0, grad
+
+    x = grid96.nodes
+    starts = [grid96.d / np.max(grid96.d)] + [
+        np.exp(-0.5 * ((x - c) / w) ** 2) for c, w in ((0.5, 0.15), (0.3, 0.1), (0.5, 0.3))]
+    best = max(math.exp(-minimize(neg_log_quotient, u0, jac=True, method="L-BFGS-B").fun)
+               for u0 in starts)
+    assert sobolev_constant(kernel96, grid96, t, seed=0) <= best <= consts96.sobolev
+
+
+def test_certify_constants_rejects_unvalidated_spec(monkeypatch, grid96, kernel96, pot96,
+                                                    eig96):
+    # a spec built by hand is decided before any constant is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("a constant was computed")
+
+    for name in ("rayleigh", "primitive_envelope", "sobolev_constant"):
+        monkeypatch.setattr(fracmp.solve, name, computed)
+    for nl, error in ((NonlinearitySpec(q=9.5, f0=1.0, theta=4.0), ExponentWindowError),
+                      (NonlinearitySpec(q=3.0, f0=-1.5, theta=3.8), HypothesisError)):
+        prob = make_problem(grid96, kernel96, pot96, 0.5, nl)
+        with pytest.raises(error):
+            certify_constants(prob, eig96.phi1, seed=0)
 
 
 def test_endpoints_geometry(prob96, endpoints96, consts96):
@@ -395,8 +436,8 @@ def test_saddle_polish_restarts_then_newton_fallback(monkeypatch, caplog):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cp = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
-    # each round starts its direction estimate at the path maximizer
-    assert sum(np.array_equal(w, rotated_at[0]) for w in rotated_at) == 3
+    # the three rounds share one direction estimate at the path maximizer
+    assert sum(np.array_equal(w, rotated_at[0]) for w in rotated_at) == 1
     notes = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("saddle polish used the Newton fallback")]
     assert len(notes) == 1

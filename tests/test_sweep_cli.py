@@ -186,6 +186,33 @@ def test_load_records_malformed_table_names_path(tmp_path, name, body):
     assert str(path) in str(err.value)
 
 
+def _json_table(tmp_path, **fields):
+    rec = {"lambda": 0.1, "norm_W": 1, "norm_inf": 2.0, "energy": -1.5e-3,
+           "residual": 1e-7, "positive": True, "distinct_count": 2, "in_window": False}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"generated": "now", "records": [{**rec, **fields}]}))
+    return str(path)
+
+
+def test_load_records_json_fields_have_csv_types(tmp_path):
+    back = load_records(_json_table(tmp_path))
+    assert back == [{"lambda": 0.1, "norm_W": 1.0, "norm_inf": 2.0, "energy": -1.5e-3,
+                     "residual": 1e-7, "positive": True, "distinct_count": 2,
+                     "in_window": False}]
+    assert type(back[0]["norm_W"]) is float and type(back[0]["distinct_count"]) is int
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda", "abc"), ("energy", None), ("residual", True), ("positive", "yes"),
+    ("in_window", 1), ("distinct_count", 2.5), ("distinct_count", False),
+])
+def test_load_records_json_rejects_wrong_field_type(tmp_path, field, value):
+    path = _json_table(tmp_path, **{field: value})
+    with pytest.raises(ConfigurationError) as err:
+        load_records(path)
+    assert path in str(err.value) and field in str(err.value)
+
+
 def test_sweep_needs_enough_points(tmp_path):
     cfg = parse_config(_write(tmp_path, SMALL))
     with pytest.raises(UsageError, match=">= 4"):

@@ -4,12 +4,14 @@ A traced name that no longer exists would make the traced benchmark run
 fail when it installs its wrappers, so every name is checked here.  The
 table is read from the tracer's source, without importing the tracer.
 tools/kernel_timing.py prints each of its tables once at a tiny size, and
-tools/phase_timing.py its phase table at n = 16, with no timing gate.
+tools/phase_timing.py its phase table at n = 16, with no timing gate, and
+tools/output_digest.py digests every output of the shipped configs at n = 16.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +69,19 @@ def test_phase_timing_table_runs(capsys):
     mp_eig = [float(x) for x in row[2].split(",")]
     second_eig = [float(x) for x in row[3].split(",")]
     assert mp_eig[0] < 0.0 < mp_eig[1] and 0.0 < second_eig[0] <= second_eig[1]
+
+
+def test_output_digest_is_reproducible(capsys):
+    tool = _tool("output_digest")
+    configs = sorted(str(p) for p in (ROOT / "configs").glob("*.cfg"))
+    assert tool.main(["--n", "16", *configs]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+:\S+/\S+( \(exit 0\))?", ln) for ln in lines)
+    # eigen, torsion, solve or sweep, and verify: one stdout line each
+    assert sum(ln.endswith("(exit 0)") for ln in lines) == 4 * len(configs)
+    # the sweep table carries a time stamp, which is not digested
+    sweep = [ln for ln in lines if ln.split()[1].startswith("sweep.cfg:")]
+    assert any(ln.endswith("/sweep.csv") for ln in sweep)
+    assert tool.digest_lines(str(ROOT / "configs" / "sweep.cfg"), 16) == sweep
+    stamped = ['{"generated": "%s", "records": []}' % t for t in ("then", "now")]
+    assert tool.normalise(stamped[0], "/x") == tool.normalise(stamped[1], "/x")
