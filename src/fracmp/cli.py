@@ -319,7 +319,7 @@ def cmd_verify(cfg: Config) -> int:
     check_after_eigenpair("ring lower bound", chk_ring)
 
     def chk_endpoint():
-        e0, e1, _, _ = construct_endpoints(prob, eig.phi1, consts)
+        _, e1 = construct_endpoints(prob, eig.phi1, consts)
         if lam <= consts.lam_hat1 and energy(e1, prob) > 0.0:
             raise AssertionError("endpoint energy %g > 0" % energy(e1, prob))
         return "J(e1)=%.4g" % energy(e1, prob)

@@ -10,20 +10,11 @@ solver errors carry the last iterate so a failed run stays inspectable.
 class FracmpError(Exception):
     """Base class for every error raised by this package.
 
-    Every subclass pickles with its class, message and attributes, so an
-    error raised in a worker process arrives whole in its parent.
+    A sweep row that raises one becomes a failed record inside the row's
+    worker process, so none crosses a process boundary.  Unpickling one
+    would call __init__ with the message, which is not the first parameter
+    of GateError or ExportError.
     """
-
-    def __reduce__(self):
-        # rebuilt without __init__, whose parameters are not always the
-        # message (GateError, ExportError)
-        return _rebuild, (type(self), self.args, self.__dict__)
-
-
-def _rebuild(cls, args, state):
-    exc = cls.__new__(cls, *args)
-    exc.__dict__.update(state)
-    return exc
 
 
 class ConfigurationError(FracmpError):

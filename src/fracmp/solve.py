@@ -13,7 +13,8 @@ does not increase, plus energy-aware re-parameterization that
 concentrates vertices near the maximizer.  The returned saddle is then
 polished by a small-step gradient flow that reflects the step across the
 estimated unstable direction, which turns the saddle into an attracting
-fixed point of the flow.
+fixed point of the flow; a damped Newton iteration takes over when the
+flow ends above tolerance.
 """
 from __future__ import annotations
 
@@ -178,7 +179,7 @@ def certify_constants(prob: Problem, phi1, *, seed: int = 0) -> ScalingConstants
 
 
 def construct_endpoints(prob: Problem, phi1, constants: ScalingConstants
-                        ) -> tuple[np.ndarray, np.ndarray, float, float]:
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """The two mountain-pass endpoints: the origin and c lambda^{-r} phi1.
 
     Warns (but proceeds) when lambda sits outside the certified window;
@@ -193,7 +194,7 @@ def construct_endpoints(prob: Problem, phi1, constants: ScalingConstants
                     "endpoint geometry not guaranteed", prob.lam, constants.lam3)
     phin = phi / norm_W(phi, prob.kernel)
     e1 = constants.c * prob.lam ** (-prob.r) * phin
-    return np.zeros(prob.grid.n), e1, constants.c, constants.tau
+    return np.zeros(prob.grid.n), e1
 
 
 def ring_samples(K: Kernel, radius: float, count: int, seed: int = 0) -> list[np.ndarray]:
@@ -586,6 +587,10 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
     direction, so the flow contracts toward the saddle from both sides;
     the direction estimate is refreshed periodically from finite-difference
     curvature and the step length comes from a sampled curvature bound.
+    The flow runs in up to three rounds from the maximizer, each with a
+    third of the step before it.  A round ends at tol (the polish is then
+    done), on a non-finite iterate, or when it leaves the energy bracket
+    around the path level; POLISH_CAP caps the steps of all rounds.
     Keeps and returns the best-residual iterate, with the flow steps
     taken; if the flow stalls above tolerance a damped Newton iteration
     with the exact Hessian is tried from the best iterate, accepted only

@@ -3,10 +3,11 @@
 One sweep solves the eigenproblem once, certifies the threshold constants
 once, then runs the mountain-pass search and the second-solution scan at
 every lambda of a geometric grid (``solve_lambda``, which ``fracmp solve``
-runs at its one lambda), recording norms, the energy value and window
-flags per lambda.  The lambdas are independent rows, solved in worker
-processes when more than one CPU is usable (_row_workers).  Scaling
-exponents are recovered by ordinary least squares on the log-log data.
+runs at its one lambda), recording norms, the energy value and whether
+lambda lies in the certified window.  The lambdas are independent rows,
+solved in worker processes when more than one CPU is usable
+(_row_workers).  Scaling exponents are recovered by ordinary least squares
+on the log-log data.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ _FIELD_TYPES = {"positive": (bool,), "in_window": (bool,), "distinct_count": (in
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Per-lambda outcome row; error is set when the solve failed."""
+    """Per-lambda outcome row; in_window is lam < lam3, error is set on failure."""
 
     lam: float
     norm_W: float
@@ -50,13 +51,8 @@ class SweepRecord:
     residual: float
     positive: bool
     distinct_count: int
-    in_hat1: bool
-    in_hat2: bool
+    in_window: bool
     error: str | None = None
-
-    @property
-    def in_window(self) -> bool:
-        return self.in_hat1 and self.in_hat2
 
     @property
     def ok(self) -> bool:
@@ -83,7 +79,6 @@ class FitSummary:
 class SweepResult:
     records: list
     fit: FitSummary | None
-    constants: ScalingConstants
     lambda1: float
     solutions: list
 
@@ -147,7 +142,7 @@ def certify(cfg: Config, parts, lam: float):
 def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants
                    ) -> tuple[CriticalPoint, np.ndarray]:
     """Mountain pass at the lambda of prob: (critical point, e1)."""
-    e0, e1, _, _ = construct_endpoints(prob, phi1, consts)
+    e0, e1 = construct_endpoints(prob, phi1, consts)
     cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
                        max_outer=cfg.mp_iter_cap, constants=consts)
     return cp, e1
@@ -172,10 +167,9 @@ def _sweep_row(cfg: Config, parts, phi1, consts: ScalingConstants, item):
     i, lam = item
     lam = float(lam)
     grid, kern, V, nl = parts
-    in1 = lam < consts.lam_hat1
-    in2 = lam < consts.lam_hat2
-    prob = make_problem(grid, kern, V, lam, nl)
+    in_window = lam < consts.lam3
     try:
+        prob = make_problem(grid, kern, V, lam, nl)
         cp, second = solve_lambda(cfg, prob, phi1, consts, i)
         rec = SweepRecord(
             lam=lam,
@@ -185,12 +179,11 @@ def _sweep_row(cfg: Config, parts, phi1, consts: ScalingConstants, item):
             residual=cp.residual,
             positive=bool(np.min(cp.u) > 0.0),
             distinct_count=1 + (1 if second is not None else 0),
-            in_hat1=in1, in_hat2=in2)
+            in_window=in_window)
     except FracmpError as exc:
         return SweepRecord(lam=lam, norm_W=float("nan"), norm_inf=float("nan"),
                            energy=float("nan"), residual=float("nan"),
-                           positive=False, distinct_count=0,
-                           in_hat1=in1, in_hat2=in2,
+                           positive=False, distinct_count=0, in_window=in_window,
                            error="%s: %s" % (type(exc).__name__, exc)), (lam, None, None)
     return rec, (lam, cp, second)
 
@@ -260,8 +253,8 @@ def sweep(cfg: Config, progress=None) -> SweepResult:
                          r2_W=r2W, r2_inf=r2I, r2_energy=r2E,
                          target_W=-r, target_inf=-r, target_energy=-r * cfg.p,
                          points=len(good))
-    return SweepResult(records=records, fit=fit, constants=consts,
-                       lambda1=eig.lambda1, solutions=solutions)
+    return SweepResult(records=records, fit=fit, lambda1=eig.lambda1,
+                       solutions=solutions)
 
 
 def _csv_row(rec: SweepRecord) -> str:
@@ -346,6 +339,8 @@ def load_records(path: str) -> list[dict]:
         try:
             for key, part in zip(fields, parts):
                 kind = _FIELD_TYPES.get(key, (int, float))[-1]
+                if kind is bool and part not in ("true", "false"):
+                    raise ValueError("%s is neither true nor false" % key)
                 rec[key] = part == "true" if kind is bool else kind(part)
         except ValueError as exc:
             raise ConfigurationError("%s: bad CSV row %r (%s)" % (path, ln, exc)) from exc

@@ -151,9 +151,9 @@ def test_criterion_3_seminorm_oracle(capsys):
 def test_criterion_4_endpoint_inequalities(capsys, prob96, eig96, consts96):
     # lambda = min(hat1, hat2)/2 = 0.5 for this instance
     assert prob96.lam == pytest.approx(consts96.lam3 / 2.0)
-    _, e1, _, tau = construct_endpoints(prob96, eig96.phi1, consts96)
+    _, e1 = construct_endpoints(prob96, eig96.phi1, consts96)
     J_e1 = energy(e1, prob96)
-    radius = tau * prob96.lam ** -prob96.r
+    radius = consts96.tau * prob96.lam ** -prob96.r
     bound = (1.0 / (4.0 * prob96.p)) * radius ** prob96.p
     violations = 0
     min_margin = np.inf
@@ -202,7 +202,7 @@ def test_criterion_6_multiplicity(capsys, sweep_run, grid96, kernel96,
     prob0 = make_problem(grid96, kernel96, pot96, 0.5, nl_f0)
     origin = descend(np.zeros(96), prob0, 1e-8)
     consts0 = certify_constants(prob0, eig96.phi1, seed=0)
-    e0, e1, _, _ = construct_endpoints(prob0, eig96.phi1, consts0)
+    e0, e1 = construct_endpoints(prob0, eig96.phi1, consts0)
     nontrivial = mountain_pass(prob0, e0, e1, tol=1e-6, constants=consts0)
     ok_b = (origin.tag == "local-min"
             and nontrivial.residual <= 1e-6

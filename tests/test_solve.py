@@ -49,7 +49,7 @@ from fracmp import (
     torsion_solve,
 )
 from fracmp.kernel import apply_flap, phi_p
-from fracmp.model import f_eval, gradient
+from fracmp.model import f_eval, gradient, hessian
 from fracmp.solve import _hessian_product
 
 
@@ -60,7 +60,7 @@ def endpoints96(prob96, eig96, consts96):
 
 @pytest.fixture(scope="module")
 def mp_first(prob96, endpoints96, consts96):
-    e0, e1, _, _ = endpoints96
+    e0, e1 = endpoints96
     return mountain_pass(prob96, e0, e1, tol=1e-6, constants=consts96)
 
 
@@ -141,11 +141,10 @@ def test_certify_constants_rejects_unvalidated_spec(monkeypatch, grid96, kernel9
 
 
 def test_endpoints_geometry(prob96, endpoints96, consts96):
-    e0, e1, c, tau = endpoints96
+    e0, e1 = endpoints96
     assert not np.any(e0)
-    assert c == consts96.c and tau == consts96.tau
     assert norm_W(e1, prob96.kernel) == pytest.approx(
-        c * prob96.lam ** -0.5, rel=1e-10)
+        consts96.c * prob96.lam ** -0.5, rel=1e-10)
     # lambda = 0.5 = lam3 / 2 puts the far endpoint below zero energy
     assert energy(e1, prob96) <= 0.0
 
@@ -154,8 +153,8 @@ def test_endpoint_norm_power_law(grid96, kernel96, pot96, nl_f1, eig96, consts96
     # lambda -> lambda/4 doubles the endpoint norm when r = 1/2
     pa = make_problem(grid96, kernel96, pot96, 0.4, nl_f1)
     pb = make_problem(grid96, kernel96, pot96, 0.1, nl_f1)
-    _, e1a, _, _ = construct_endpoints(pa, eig96.phi1, consts96)
-    _, e1b, _, _ = construct_endpoints(pb, eig96.phi1, consts96)
+    _, e1a = construct_endpoints(pa, eig96.phi1, consts96)
+    _, e1b = construct_endpoints(pb, eig96.phi1, consts96)
     assert norm_W(e1b, kernel96) == pytest.approx(
         2.0 * norm_W(e1a, kernel96), rel=1e-10)
 
@@ -306,14 +305,14 @@ def test_mountain_pass_probes_nothing(prob96, endpoints96, consts96, monkeypatch
     calls = []
     monkeypatch.setattr(fracmp.solve, "classify",
                         lambda *args, **kwargs: calls.append(args) or "mountain-pass")
-    e0, e1, _, _ = endpoints96
+    e0, e1 = endpoints96
     cp = mountain_pass(prob96, e0, e1, tol=1e-6, constants=consts96)
     assert calls == []
     assert cp.tag == "unknown"
 
 
 def test_mountain_pass_argument_checks(prob96, endpoints96):
-    e0, e1, _, _ = endpoints96
+    e0, e1 = endpoints96
     with pytest.raises(UsageError):
         mountain_pass(prob96, e0, e1, P=7)
     with pytest.raises(UsageError):
@@ -329,7 +328,7 @@ def test_mountain_pass_failure_keeps_path_maximiser(prob96, endpoints96, monkeyp
         return out
 
     monkeypatch.setattr(fracmp.solve, "_reparametrize", collapse)
-    e0, e1, _, _ = endpoints96
+    e0, e1 = endpoints96
     with pytest.raises(SolverError, match="collapsed") as err:
         mountain_pass(prob96, e0, e1, tol=1e-6)
     last = err.value.last
@@ -340,6 +339,31 @@ def test_mountain_pass_failure_keeps_path_maximiser(prob96, endpoints96, monkeyp
     fine = [e0, 0.5 * (e0 + e1), e1]
     assert last.value == max(energy(x, prob96) for x in fine)
     assert last.iterations > 0 and last.path_value is not None
+
+
+def test_mountain_pass_stalls_after_three_rejected_rounds(prob96, endpoints96, monkeypatch):
+    # every trial scan fails its accept test: each outer iteration rejects 45
+    # halved steps, and the third such stall ends the path search with the
+    # straight path's level as the only one recorded
+    real = fracmp.solve._refined_path
+    rejected = []
+    first = []
+
+    def refined(path, prob, ends, accept=None, start=0):
+        if accept is None:
+            first.append(real(path, prob, ends))
+            return first[-1]
+        rejected.append(start)
+        return path, None, 0
+
+    monkeypatch.setattr(fracmp.solve, "_refined_path", refined)
+    e0, e1 = endpoints96
+    # the polish still reaches the saddle from the straight path's maximiser
+    cp = mountain_pass(prob96, e0, e1, tol=1e-6)
+    assert len(first) == 1 and len(rejected) == 3 * 45
+    level = float(np.max(first[0][1]))
+    assert cp.path_value == level
+    assert cp.trace.tolist() == [level]
 
 
 def test_comparison_equal_inputs(prob96):
@@ -399,7 +423,7 @@ def test_distinct_predicate():
 
 
 def test_find_second_solution_distinct(prob96, mp_first, endpoints96):
-    _, e1, _, _ = endpoints96
+    _, e1 = endpoints96
     second = find_second_solution(prob96, mp_first, 1e-6, e1=e1, seed=1)
     assert second is not None
     assert second.residual <= 1e-6
@@ -414,7 +438,7 @@ def _instance(n, s, p, q, f0, V, lam):
                         make_nonlinearity(q, f0, p, s))
     eig = first_eigenpair(kern, grid, 1e-9)
     consts = certify_constants(prob, eig.phi1, seed=0)
-    e0, e1, _, _ = construct_endpoints(prob, eig.phi1, consts)
+    e0, e1 = construct_endpoints(prob, eig.phi1, consts)
     return prob, e0, e1, consts
 
 
@@ -447,9 +471,43 @@ def test_saddle_polish_restarts_then_newton_fallback(monkeypatch, caplog):
     assert newton < 1e-7
     assert cp.residual == pytest.approx(newton, rel=1e-5)
     assert cp.residual <= 1e-6
-    # the point accepted has Morse index 2 (h-scaled Hessian eigenvalues
-    # -228.96, -146.19, then +59.20): not the mountain-pass point
+    # the fallback's point, to 12 digits
+    assert cp.value == pytest.approx(67.45379383076518, rel=1e-12)
+    # it has Morse index 2: not the mountain-pass point
+    eig = np.linalg.eigvalsh(hessian(cp.u, prob) / prob.h)[:3]
+    assert eig == pytest.approx([-228.96, -146.19, 59.20], abs=0.01)
     assert classify(cp, prob) == "unknown"
+
+
+def test_saddle_polish_restart_round_reaches_tol(monkeypatch, caplog):
+    # round 0's flow overflows; round 1 starts again from the path maximizer
+    # with a third of the step and reaches tol, so the restart, not the
+    # Newton fallback, ends this polish
+    prob, e0, e1, consts = _instance(48, 0.2, 3.0, 3.0, 1.0, 1.0, 0.5)
+    starts = []
+    at_start = []
+    real_polish = fracmp.solve._polish_saddle
+    real_gradient = fracmp.solve.gradient
+
+    def polish(w0, *args, **kwargs):
+        starts.append(w0.copy())
+        return real_polish(w0, *args, **kwargs)
+
+    def gradient(u, prob):
+        if starts and np.array_equal(u, starts[0]):
+            at_start.append(True)
+        return real_gradient(u, prob)
+
+    monkeypatch.setattr(fracmp.solve, "_polish_saddle", polish)
+    monkeypatch.setattr(fracmp.solve, "gradient", gradient)
+    caplog.set_level(logging.INFO, logger="fracmp.solve")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cp = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
+    # each round's first step evaluates the gradient at the maximizer
+    assert len(starts) == 1 and len(at_start) == 2
+    assert not any("Newton fallback" in r.getMessage() for r in caplog.records)
+    assert cp.residual <= 1e-6
 
 
 @pytest.mark.xfail(strict=True, raises=SolverError,

@@ -21,6 +21,7 @@ from fracmp import (
     CSV_HEADER,
     ConfigurationError,
     ExportError,
+    ScalingConstants,
     SolverError,
     SweepRecord,
     UsageError,
@@ -103,10 +104,10 @@ def _records():
     return [
         SweepRecord(lam=0.1, norm_W=12.345678901234567, norm_inf=3.2,
                     energy=-1.5e-3, residual=9.9e-7, positive=True,
-                    distinct_count=2, in_hat1=True, in_hat2=True),
+                    distinct_count=2, in_window=True),
         SweepRecord(lam=0.8, norm_W=4.0, norm_inf=1.1, energy=2.25,
                     residual=3.3e-8, positive=False, distinct_count=1,
-                    in_hat1=True, in_hat2=False),
+                    in_window=False),
     ]
 
 
@@ -177,7 +178,9 @@ def test_load_records_rejects_wrong_header(tmp_path):
     ("t.json", json.dumps({"records": [{"lambda": 0.1}]}).encode()),
     ("t.csv", (CSV_HEADER + "\n0.1,x,1,1,1,true,1,true\n").encode()),
     ("t.csv", b"\xff" + CSV_HEADER.encode() + b"\n"),
-], ids=["not-json", "missing-field", "non-numeric", "not-utf8"])
+    ("t.csv", (CSV_HEADER + "\n0.1,1,1,1,1,yes,1,true\n").encode()),
+    ("t.csv", (CSV_HEADER + "\n0.1,1,1,1,1,true,1,TRUE\n").encode()),
+], ids=["not-json", "missing-field", "non-numeric", "not-utf8", "bool-yes", "bool-TRUE"])
 def test_load_records_malformed_table_names_path(tmp_path, name, body):
     path = tmp_path / name
     path.write_bytes(body)
@@ -580,6 +583,41 @@ def test_sweep_unexpected_error_propagates(tmp_path, monkeypatch, cpus):
     assert remote == (cpus == 2)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_row_problem_error_is_a_failed_row(tmp_path, monkeypatch, cpus):
+    # make_problem raises inside the row's try, so its error becomes a
+    # failed record in the row's own process; an ExportError could not be
+    # unpickled in this one
+    monkeypatch.setattr(sweep_module.kernel, "_CPUS", cpus)
+    real = sweep_module.make_problem
+
+    def make_problem(grid, kern, V, lam, nl):
+        if lam == SWEEP_LAMS[2]:
+            raise ExportError("cannot write", "row.csv")
+        return real(grid, kern, V, lam, nl)
+
+    monkeypatch.setattr(sweep_module, "make_problem", make_problem)
+    records = sweep(parse_config(_write(tmp_path, SMALL_SWEEP))).records
+    assert [r.ok for r in records] == [True, True, False, True]
+    assert records[2].error == "ExportError: cannot write: row.csv"
+
+
+@pytest.mark.parametrize("hats, inside", [((1.0, 1.0), True), ((0.5, 1.0), False),
+                                          ((1.0, 0.5), False)],
+                         ids=["inside", "at-hat1", "at-hat2"])
+def test_sweep_record_in_window_below_both_thresholds(tmp_path, monkeypatch, hats, inside):
+    # the row at lambda = 0.5 fails at once; its record still says whether
+    # lambda lies below lam_hat1 and lam_hat2
+    def stalled(*args):
+        raise SolverError("mountain pass stalled")
+
+    monkeypatch.setattr(sweep_module, "solve_lambda", stalled)
+    consts = ScalingConstants(*[1.0] * 7, *hats)
+    parts = sweep_module.assemble(parse_config(_write(tmp_path, SMALL)))
+    rec, _ = sweep_module._sweep_row(None, parts, None, consts, (0, 0.5))
+    assert not rec.ok and rec.in_window is inside
+
+
 @pytest.mark.parametrize("cpus, n, workers", [(1, 32, 0), (2, 32, 2), (8, 32, 4),
                                               (2, 511, 2), (2, 512, 0)])
 def test_row_workers(monkeypatch, cpus, n, workers):
@@ -626,7 +664,7 @@ prob = make_problem(grid, kern, make_potential(grid, constant=0.25), 0.5,
                     make_nonlinearity(4.0, 1.0, 3.0, 0.2))
 phi1 = first_eigenpair(kern, grid, 1e-9).phi1
 consts = certify_constants(prob, phi1, seed=0)
-e0, e1, _, _ = construct_endpoints(prob, phi1, consts)
+e0, e1 = construct_endpoints(prob, phi1, consts)
 mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
 print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
 """

@@ -10,7 +10,9 @@ its saddle polish, and the second-solution search.  It also prints the two
 lowest eigenvalues of H/h, the energy's Hessian over the grid spacing, at
 the mountain-pass point and at the second solution: their scale does not
 depend on n, and their signs give the Morse type (one negative at a
-mountain-pass point, none at a local minimum).
+mountain-pass point, none at a local minimum).  Last come the polish's
+flow steps and whether its Newton fallback fired (the INFO record
+fracmp.solve logs when it does).
 
 Each phase is timed once.  The tool has no pass/fail gate: wall-clock
 times on a shared host vary too much for one.
@@ -18,6 +20,7 @@ times on a shared host vary too much for one.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import time
 from dataclasses import replace
@@ -46,23 +49,36 @@ def phases(n: int) -> dict:
     """Phase times and Hessian eigenvalues of one solve at grid size n."""
     cfg = _check(replace(parse_config(CONFIG), n=n))
     polish = []
+    flow = []
     real = solve._polish_saddle
 
     def timed_polish(*args, **kwargs):
         t0 = time.perf_counter()
         try:
-            return real(*args, **kwargs)
+            u, steps = real(*args, **kwargs)
         finally:
             polish.append(time.perf_counter() - t0)
+        flow.append(steps)
+        return u, steps
+
+    notes = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = notes.append
+    log = logging.getLogger("fracmp.solve")
+    level = log.level
 
     t0 = time.perf_counter()
     eig, prob, consts = certify(cfg, assemble(cfg), float(lambdas(cfg)[0]))
     t1 = time.perf_counter()
     solve._polish_saddle = timed_polish
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         cp, e1 = first_solution(cfg, prob, eig.phi1, consts)
     finally:
         solve._polish_saddle = real
+        log.removeHandler(handler)
+        log.setLevel(level)
     t2 = time.perf_counter()
     # the seed solve_lambda hands the search for the first lambda
     second = solve.find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
@@ -71,20 +87,24 @@ def phases(n: int) -> dict:
     t3 = time.perf_counter()
     return {"certify": t1 - t0, "mp": t2 - t1, "polish": sum(polish),
             "second": t3 - t2, "mp_eig": _lowest(cp.u, prob),
-            "second_eig": _lowest(None if second is None else second.u, prob)}
+            "second_eig": _lowest(None if second is None else second.u, prob),
+            "flow": sum(flow),
+            "newton": any(r.getMessage().startswith("saddle polish used the Newton fallback")
+                          for r in notes)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
     args = parser.parse_args(argv)
-    print("%6s | %9s %9s %9s %9s | %-20s | %-20s" % (
-        "n", "certify s", "MP s", "polish s", "second s", "MP eig(H/h)", "second eig(H/h)"))
+    print("%6s | %9s %9s %9s %9s | %-20s | %-20s | %6s %6s" % (
+        "n", "certify s", "MP s", "polish s", "second s", "MP eig(H/h)", "second eig(H/h)",
+        "flow", "Newton"))
     for n in (int(x) for x in args.sizes.split(",")):
         r = phases(n)
-        print("%6d | %9.3f %9.3f %9.3f %9.3f | %-20s | %-20s" % (
+        print("%6d | %9.3f %9.3f %9.3f %9.3f | %-20s | %-20s | %6d %6s" % (
             n, r["certify"], r["mp"], r["polish"], r["second"], r["mp_eig"],
-            r["second_eig"]))
+            r["second_eig"], r["flow"], "yes" if r["newton"] else "no"))
     return 0
 
 
