@@ -11,12 +11,15 @@ over interior cell pairs plus, for each node, an exterior tail integral
 with closed form t_i = [(x_i-a)^(-sp) + (b-x_i)^(-sp)] / (sp).  Both
 orderings of (x, y) are counted, hence the factor 2 on the tail.
 
-The pair table |u_i - u_j|^e of the seminorm (e = p) and of the operator
-(e = p - 1, odd) is symmetric, antisymmetric in the odd case, so each pair
-power is computed once: a row block at a time, over the columns at or right
-of the block's first row, the rest mirrored from the block's transpose.
-The table is then multiplied by W in place, and summed in full for the
-seminorm and by rows for the operator.
+The weighted pair table W_ij |u_i - u_j|^e of the seminorm (e = p), the
+operator (e = p - 1, odd) and the Hessian (e = p - 2, model.hessian) is
+symmetric, antisymmetric in the odd case, so each entry is computed once,
+in one pass per row block (_weighted_table): the block builds the columns
+at or right of its first row, signs them when odd, multiplies them by W,
+and mirrors the weighted block into the rows below it.  W is symmetric to
+the bit and negation is exact, so a mirrored entry is the float the full
+formula gives, up to the sign of an underflowed zero that no sum sees.  The
+table is summed in full for the seminorm and by rows for the operator.
 
 seminorm_p, norm_W and apply_flap take one grid function (n,) or a stack of
 them (B, n), and return one result per row.  A stack builds one (B, n, n)
@@ -33,21 +36,24 @@ one row, so the two-thread path below always sees one row.
 From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, and when the process may
 run on more than one CPU, the calling thread shares this work with the one
 thread of a pool, started on first use (numpy's elementwise loops release
-the interpreter lock).  Both the build and the weighting pop row-block
-starts from one deque, widest block first, so the work splits evenly and a
-thread that starts late or is descheduled just takes fewer blocks.  Build
-block r0:r1 owns M[r0:r1, r0:] and the mirror M[r1:, r0:r1]; weighting
-block r0:r1 owns the rows r0:r1 and their row sums: the blocks write
-disjoint regions.  The seminorm's sum over the whole table stays on the
-calling thread.  Every entry is the same elementwise operation on
-the same floats whichever thread computes it, and a row's sum reads only
-that row, so both functions return the same bytes on one thread or two.
-Below the threshold the second thread costs more than it saves
-(tools/kernel_timing.py prints both paths side by side); there the table
-is built and weighed inline, with no block scheduling.  The second
-thread's scratch comes from the caller, so it allocates no array data of
-its own, and it runs in the caller's context, so the caller's np.errstate
-holds there.
+the interpreter lock).  The block pass pops row-block starts from one
+deque, widest block first, so the work splits evenly and a thread that
+starts late or is descheduled just takes fewer blocks.  Block r0:r1 owns
+M[r0:r1, r0:] and the mirror M[r1:, r0:r1]: the blocks write disjoint
+regions.  The seminorm's sum over the whole table stays on the calling
+thread, so a seminorm table is handed to the pool's thread once.  On two
+threads the operator's row sums take a second block pass, each block owning
+the rows r0:r1 and their sums, as a block's mirror writes into the rows
+below it.
+The Hessian's table takes the same block pass.  Every entry is the same
+elementwise operation on the same floats whichever thread computes it, and
+a row's sum reads only that row, so every function returns the same bytes
+on one thread or two.  Below the threshold the second thread costs more
+than it saves (tools/kernel_timing.py prints both paths side by side);
+there the blocks run inline, with no scheduling.  The second thread's
+scratch comes from the caller, so it allocates no array data of its own,
+and it runs in the caller's context, so the caller's np.errstate holds
+there.
 """
 from __future__ import annotations
 
@@ -57,7 +63,7 @@ import tracemalloc
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -221,89 +227,62 @@ def _run_taken(args: list) -> None:
     work(starts, scratch)
 
 
-def _fill(M: np.ndarray, v: np.ndarray, e: float, odd: bool, starts, neg) -> None:
-    """Fill the row blocks at starts of the stacked pair table M (see _pair_table)."""
-    n = v.shape[1]
-    for r0 in starts:
-        r1 = min(r0 + _PAIR_BLOCK, n)
-        if odd and e == 1.0:
-            np.subtract(v[:, r0:r1, None], v[:, None, :], out=M[:, r0:r1])
-            continue
-        blk = M[:, r0:r1, r0:]
-        np.subtract(v[:, r0:r1, None], v[:, None, r0:], out=blk)
-        if odd:
-            sgn = np.less(blk, 0.0, out=neg[:, :r1 - r0, :n - r0])
-            np.negative(sgn, out=sgn)
-        if odd or e != 2.0:
-            # d^2 is |d|^2 to the bit
-            np.abs(blk, out=blk)
-        np.power(blk, e, out=blk)
-        if odd:
-            np.copysign(blk, sgn, out=blk)
-        if r1 == n:
-            continue
-        mirror = blk[:, :, r1 - r0:].transpose(0, 2, 1)
-        if odd:
-            np.subtract(0.0, mirror, out=M[:, r1:, r0:r1])
-        else:
-            M[:, r1:, r0:r1] = mirror
+def _weighted_table(v: np.ndarray, W: np.ndarray, e: float, odd: bool,
+                    threads: int) -> np.ndarray:
+    """The (B, n, n) tables W_ij |v_bi - v_bj|^e, times sign(v_bi - v_bj) when odd.
 
-
-def _pair_table(v: np.ndarray, e: float, odd: bool, threads: int) -> np.ndarray:
-    """The (B, n, n) tables |v_bi - v_bj|^e, times sign(v_bi - v_bj) when odd.
-
-    Row block r0:r1 computes the columns j >= r0 of every table in the
-    stack; the entries below the block are its transpose, negated when odd.
-    IEEE subtraction gives v_j - v_i = -(v_i - v_j) exactly, so every entry
-    is the float the full elementwise formula gives (0.0 - x keeps zero
-    entries at +0.0).  The odd map takes the sign of |v_bi - v_bj|^e from a
-    one-byte -1/0 mask of the negative differences: that is sign(d) |d|^e to
-    the bit, zero entries included, as sign(-0.0) is +0.0.  The odd map at
-    e = 1 is the plain difference, with no power to save: a block fills its
-    whole rows instead, or on one thread one numpy call the stack.  On two
+    One pass per row block r0:r1 builds, signs, weighs and mirrors.  It
+    subtracts to get the columns j >= r0 of every table in the stack, takes
+    the odd map's sign as a one-byte -1/0 mask of the negative differences,
+    raises |d| to e, copies the sign back (sign(d) |d|^e to the bit, zero
+    entries included, as sign(-0.0) is +0.0), multiplies by W[r0:r1, r0:],
+    and writes the transpose of the weighted block below it, negated when
+    odd.  A mirrored entry is the float the full formula gives: W is
+    symmetric to the bit, IEEE subtraction gives v_j - v_i = -(v_i - v_j),
+    and rounding commutes with negation, so entry (j, i) is -(W_ij x_ij)
+    when entry (i, j) is W_ij x_ij.  Only the sign of a zero may differ,
+    where W_ij x_ij underflows (0.0 - y keeps zero entries at +0.0); no sum
+    sees it, as every row holds the +0.0 of its diagonal.  The odd map at
+    e = 1 is the plain difference, so it takes no mask, abs or power; the
+    even map at e = 2 skips abs, as d^2 is |d|^2 to the bit.  On two
     threads B is 1 (_stack_rows).
     """
     B, n = v.shape
-    plain = odd and e == 1.0
-    if plain and threads == 1:
-        return v[:, :, None] - v[:, None, :]
     M = np.empty((B, n, n))
-    # the odd map's one-byte sign mask, one per thread, so the second thread
-    # allocates no array data
-    neg = (np.empty((B, min(_PAIR_BLOCK, n), n), dtype=np.int8)
-           if odd and not plain else None)
-    if threads == 1:
-        _fill(M, v, e, odd, range(0, n, _PAIR_BLOCK), neg)
-    else:
-        _run_blocks(n, partial(_fill, M, v, e, odd),
-                    [neg, None if neg is None else np.empty_like(neg)])
-    return M
+    powered = not odd or e != 1.0
+    signed = odd and powered
 
-
-def _weigh(M: np.ndarray, W: np.ndarray, row_sums: bool, threads: int
-           ) -> np.ndarray | None:
-    """M *= W in place (W broadcast over the stack), and M.sum(axis=-1) if asked.
-
-    On two threads a block of rows at a time: a row's sum reads that row
-    only, so it is the same float however the rows are grouped.  On one
-    thread one numpy call each: a block loop costs a few microseconds a
-    call, which shows on small tables.
-    """
-    if threads == 1:
-        np.multiply(W, M, out=M)
-        return M.sum(axis=-1) if row_sums else None
-    B, n = M.shape[:2]
-    out = np.empty((B, n)) if row_sums else None
-
-    def weigh(starts, _):
+    def build(starts, neg):
         for r0 in starts:
-            rows = M[:, r0:r0 + _PAIR_BLOCK]
-            np.multiply(W[r0:r0 + _PAIR_BLOCK], rows, out=rows)
-            if row_sums:
-                rows.sum(axis=-1, out=out[:, r0:r0 + _PAIR_BLOCK])
+            r1 = min(r0 + _PAIR_BLOCK, n)
+            blk = M[:, r0:r1, r0:]
+            np.subtract(v[:, r0:r1, None], v[:, None, r0:], out=blk)
+            if signed:
+                sgn = np.less(blk, 0.0, out=neg[:, :r1 - r0, :n - r0])
+                np.negative(sgn, out=sgn)
+            if powered:
+                if signed or e != 2.0:
+                    np.abs(blk, out=blk)
+                np.power(blk, e, out=blk)
+            if signed:
+                np.copysign(blk, sgn, out=blk)
+            np.multiply(W[r0:r1, r0:], blk, out=blk)
+            if r1 == n:
+                continue
+            mirror = blk[:, :, r1 - r0:].transpose(0, 2, 1)
+            if odd:
+                np.subtract(0.0, mirror, out=M[:, r1:, r0:r1])
+            else:
+                M[:, r1:, r0:r1] = mirror
 
-    _run_blocks(n, weigh, [None, None])
-    return out
+    # the odd map's sign mask, one per thread, so the second thread
+    # allocates no array data
+    neg = np.empty((B, min(_PAIR_BLOCK, n), n), dtype=np.int8) if signed else None
+    if threads == 1:
+        build(range(0, n, _PAIR_BLOCK), neg)
+    else:
+        _run_blocks(n, build, [neg, None if neg is None else np.empty_like(neg)])
+    return M
 
 
 def _stack_rows(n: int) -> int:
@@ -328,14 +307,28 @@ def _by_stack(rows_fn, v: np.ndarray, K: Kernel) -> np.ndarray:
 
 def _interior_sums(rows: np.ndarray, K: Kernel, threads: int) -> np.ndarray:
     """The weighted pair sums of S, one per row."""
-    M = _pair_table(rows, K.p, False, threads)
-    _weigh(M, K.W, False, threads)
+    M = _weighted_table(rows, K.W, K.p, False, threads)
     return M.reshape(rows.shape[0], -1).sum(axis=1)
 
 
 def _pair_actions(rows: np.ndarray, K: Kernel, threads: int) -> np.ndarray:
-    """sum_j W_kj Phi_p(u_k - u_j), one row per row."""
-    return _weigh(_pair_table(rows, K.p - 1.0, True, threads), K.W, True, threads)
+    """sum_j W_kj Phi_p(u_k - u_j), one row per row.
+
+    On two threads a second block pass takes the row sums, as a block's
+    mirror writes into the rows below it: a row's sum reads that row only,
+    so it is the same float however the rows are grouped.
+    """
+    M = _weighted_table(rows, K.W, K.p - 1.0, True, threads)
+    if threads == 1:
+        return M.sum(axis=-1)
+    out = np.empty(rows.shape)
+
+    def row_sums(starts, _):
+        for r0 in starts:
+            M[:, r0:r0 + _PAIR_BLOCK].sum(axis=-1, out=out[:, r0:r0 + _PAIR_BLOCK])
+
+    _run_blocks(K.n, row_sums, [None, None])
+    return out
 
 
 def seminorm_p(u, K: Kernel):

@@ -4,7 +4,8 @@ Oracles used here: adaptive quadrature (scipy.integrate.quad) for the
 exterior tail and the adjacent-cell weight, a brute-force double
 midpoint quadrature of the defining double integral for the seminorm,
 and the full-matrix formulas, every pair power computed, for the
-row-blocked symmetric pair table, built on one thread or on two.
+row-blocked symmetric weighted pair table of the seminorm, the operator
+and the Hessian, built on one thread or on two.
 """
 
 import os
@@ -27,11 +28,15 @@ from fracmp import (
     apply_flap,
     assemble_kernel,
     build_grid,
+    make_nonlinearity,
+    make_potential,
+    make_problem,
     quadratic_form_matrix,
     seminorm_p,
 )
 from fracmp import kernel
 from fracmp.kernel import _PAIR_BLOCK, _PARALLEL_ROWS
+from fracmp.model import f_prime, hessian
 
 
 def test_assemble_rejects_bad_regimes():
@@ -328,6 +333,72 @@ def test_blocked_pair_table_matches_full_formula(two_threads):
               _PARALLEL_ROWS + 1):
         for p in (1.5, 2.0, 2.5, 3.0):
             _same_bytes(_draw_u(n, 5, 3, 0.7), _kernel(n, p))
+
+
+def _full_hessian(u, prob):
+    # -2(p-1) W |d|^(p-2) off the diagonal, every pair power computed; on
+    # the diagonal the documented sum, in the order hessian forms it
+    K = prob.kernel
+    H = K.W * np.abs(u[:, None] - u[None, :]) ** (K.p - 2.0) * (-2.0 * (K.p - 1.0))
+    np.fill_diagonal(H, 0.0)
+    diag = (K.p - 1.0) * np.abs(u) ** (K.p - 2.0) * (2.0 * K.cell_weight * K.tail
+                                                      + prob.h * prob.V.values)
+    np.fill_diagonal(H, diag - prob.lam * prob.h * f_prime(u, prob.nl) - H.sum(axis=1))
+    return H
+
+
+def _check_hessian_bytes(monkeypatch, threaded):
+    """hessian against _full_hessian at every _SIZES entry and p in (2, 4],
+    p = 3 (the pair power is |d|) and p = 4 (d^2, no abs) among them; the
+    two-thread path runs from _PARALLEL_ROWS rows on exactly if threaded."""
+    handoffs = []
+    run_blocks = kernel._run_blocks
+
+    def spy(n, work, scratch):
+        handoffs.append(n)
+        run_blocks(n, work, scratch)
+
+    monkeypatch.setattr(kernel, "_run_blocks", spy)
+
+    def check(n, p, seed, levels, scale):
+        s = 0.9 / (p + 0.5)
+        g = build_grid(0.0, 1.0, n)
+        rng = np.random.default_rng(seed)
+        prob = make_problem(g, assemble_kernel(g, s, p),
+                            make_potential(g, values=rng.uniform(-1.0, 2.0, n)), 0.7,
+                            make_nonlinearity(p + 0.5, 1.0, p, s))
+        u = _draw_u(n, seed, levels, scale)
+        del handoffs[:]
+        assert hessian(u, prob).tobytes() == _full_hessian(u, prob).tobytes()
+        assert handoffs == ([n] if threaded and n >= _PARALLEL_ROWS else [])
+
+    for n in _SIZES:
+        for p in (2.5, 3.0, 4.0):
+            check(n, p, n, 3, 0.7)
+
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.sampled_from(_SIZES),
+               st.one_of(st.floats(2.0, 4.0, exclude_min=True),
+                         st.sampled_from((3.0, 4.0))),
+               st.integers(0, 2 ** 32 - 1), st.sampled_from((0, 1, 3)),
+               st.floats(1e-3, 1e3))
+    def drawn(n, p, seed, levels, scale):
+        check(n, p, seed, levels, scale)
+
+    drawn()
+
+
+def test_hessian_matches_full_formula_bit_for_bit(monkeypatch):
+    # every table on the calling thread
+    monkeypatch.setattr(kernel, "_CPUS", 1)
+    _check_hessian_bytes(monkeypatch, threaded=False)
+
+
+def test_two_thread_hessian_matches_full_formula_bit_for_bit(two_threads, monkeypatch):
+    _check_hessian_bytes(monkeypatch, threaded=True)
 
 
 def test_concurrent_callers_get_the_serial_bytes(two_threads):

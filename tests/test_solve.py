@@ -520,6 +520,20 @@ def test_mountain_pass_inside_window_q2():
     assert cp.residual <= 1e-6
 
 
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="the flow stalls at residual 0.124 (lambda = 0.2) and "
+                          "0.019 (lambda = 0.5); the Newton fallback converges, but "
+                          "to a critical point 1.27 times the path level, outside "
+                          "the accepted bracket")
+@pytest.mark.parametrize("lam", [0.2, 0.5])
+def test_mountain_pass_inside_window_p3(lam):
+    # the index-1 polish of ROADMAP item 3 must solve this instance
+    prob, e0, e1, consts = _instance(96, 0.3, 3.0, 3.0, 1.0, 0.25, lam)
+    assert prob.lam < consts.lam3
+    cp = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
+    assert cp.residual <= 1e-6
+
+
 def _parent_gradient(v, prob):
     # the gradient out of place, in its association: apply_flap/p + (h V) Phi_p
     # - (lambda h) f

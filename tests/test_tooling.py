@@ -56,6 +56,9 @@ def test_kernel_timing_tables_run(monkeypatch, capsys):
     timed = [r for r in rows if r and r[0] in ("2", "2.5")]
     # two exponents: one pair-table row, B = 1 plus four caps, two layer rows
     assert len(timed) == 2 * (1 + 5 + 2)
+    # a pair-table row: p, n, then seminorm_p, apply_flap and hessian on
+    # two threads and on one
+    assert [len(r) for r in timed].count(2 + 3 * 3) == 2
     assert all(float(r[-1]) > 0.0 for r in timed)
 
 

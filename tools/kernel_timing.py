@@ -3,12 +3,12 @@
 usage: PYTHONPATH=src python tools/kernel_timing.py [--repeats R] [--sizes N,N,...]
 
 The first table prints, for p = 2 and p = 2.5 and each n, the median time
-in microseconds of seminorm_p and apply_flap on a fixed random vector,
-with the work on the pair table shared with the kernel's second thread
-("2 thr") and done on the calling thread alone ("1 thr"), whatever the
-size threshold in fracmp.kernel says.  This is how the threshold
-_PARALLEL_ROWS is chosen and checked.  On a host with one usable CPU both
-columns time the one-thread path.
+in microseconds of seminorm_p, apply_flap and model.hessian on a fixed
+random vector, with the work on the weighted pair table shared with the
+kernel's second thread ("2 thr") and done on the calling thread alone
+("1 thr"), whatever the size threshold in fracmp.kernel says.  This is how
+the threshold _PARALLEL_ROWS is chosen and checked.  On a host with one
+usable CPU both columns time the one-thread path.
 
 The second table prints, for n = 96, 192 and 384, the median time per
 point of seminorm_p and apply_flap on a stack of B random points: at
@@ -38,7 +38,8 @@ import numpy as np
 
 from fracmp import kernel
 from fracmp.grid import build_grid
-from fracmp.model import energy, gradient, make_nonlinearity, make_potential, make_problem
+from fracmp.model import (energy, gradient, hessian, make_nonlinearity, make_potential,
+                          make_problem)
 from fracmp.solve import _hessian_product
 
 SIZES = (96, 192, 384, 512, 1024, 1536)
@@ -119,17 +120,28 @@ def _time_layers(prob, B, repeats):
     return [statistics.median(t) for t in times]
 
 
+def _problem(n, p):
+    grid = build_grid(0.0, 1.0, n)
+    s = 0.9 / (p + 0.5)
+    return make_problem(grid, kernel.assemble_kernel(grid, s, p),
+                        make_potential(grid, constant=0.25), 0.5,
+                        make_nonlinearity(3.0, 1.0, p, s))
+
+
 def pair_table(sizes, repeats):
-    print("%-4s %6s | %22s | %22s" % ("p", "n", "seminorm_p us", "apply_flap us"))
-    print("%-4s %6s | %10s %11s | %10s %11s" % ("", "", "2 thr", "1 thr", "2 thr", "1 thr"))
+    names = ("seminorm_p us", "apply_flap us", "hessian us")
+    print("%-4s %6s" % ("p", "n") + "".join(" | %22s" % name for name in names))
+    print("%-4s %6s" % ("", "") + " | %10s %11s" % ("2 thr", "1 thr") * len(names))
     for p in EXPONENTS:
         for n in sizes:
-            K = kernel.assemble_kernel(build_grid(0.0, 1.0, n), 0.9 / (p + 0.5), p)
+            prob = _problem(n, p)
+            K = prob.kernel
             u = np.random.default_rng(n).standard_normal(n)
-            sem = _time_pair(lambda: kernel.seminorm_p(u, K), n, repeats)
-            flap = _time_pair(lambda: kernel.apply_flap(u, K), n, repeats)
-            print("%-4g %6d | %10.1f %11.1f | %10.1f %11.1f"
-                  % (p, n, sem[0], sem[1], flap[0], flap[1]))
+            times = [_time_pair(fn, n, repeats)
+                     for fn in (lambda: kernel.seminorm_p(u, K),
+                                lambda: kernel.apply_flap(u, K),
+                                lambda: hessian(u, prob))]
+            print("%-4g %6d" % (p, n) + "".join(" | %10.1f %11.1f" % t for t in times))
 
 
 def stack_table(sizes, repeats):
@@ -149,11 +161,7 @@ def layer_table(sizes, points, repeats):
                                             "H.xi us"))
     for p in EXPONENTS:
         for n in sizes:
-            grid = build_grid(0.0, 1.0, n)
-            s = 0.9 / (p + 0.5)
-            prob = make_problem(grid, kernel.assemble_kernel(grid, s, p),
-                                make_potential(grid, constant=0.25), 0.5,
-                                make_nonlinearity(3.0, 1.0, p, s))
+            prob = _problem(n, p)
             for B in points:
                 print("%-4g %6d %3d | %12.1f %12.1f %12.1f"
                       % (p, n, B, *_time_layers(prob, B, repeats)))
