@@ -19,7 +19,8 @@ at or right of its first row, signs them when odd, multiplies them by W,
 and mirrors the weighted block into the rows below it.  W is symmetric to
 the bit and negation is exact, so a mirrored entry is the float the full
 formula gives, up to the sign of an underflowed zero that no sum sees.  The
-table is summed in full for the seminorm and by rows for the operator.
+table is summed in full for the seminorm and by rows for the operator, on
+the calling thread.
 
 seminorm_p, norm_W and apply_flap take one grid function (n,) or a stack of
 them (B, n), and return one result per row.  A stack builds one (B, n, n)
@@ -34,26 +35,23 @@ costs about 32 (seminorm_p) and 26 us (apply_flap) a point, against 43 and
 one row, so the two-thread path below always sees one row.
 
 From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, and when the process may
-run on more than one CPU, the calling thread shares this work with the one
-thread of a pool, started on first use (numpy's elementwise loops release
-the interpreter lock).  The block pass pops row-block starts from one
-deque, widest block first, so the work splits evenly and a thread that
-starts late or is descheduled just takes fewer blocks.  Block r0:r1 owns
-M[r0:r1, r0:] and the mirror M[r1:, r0:r1]: the blocks write disjoint
-regions.  The seminorm's sum over the whole table stays on the calling
-thread, so a seminorm table is handed to the pool's thread once.  On two
-threads the operator's row sums take a second block pass, each block owning
-the rows r0:r1 and their sums, as a block's mirror writes into the rows
-below it.
-The Hessian's table takes the same block pass.  Every entry is the same
-elementwise operation on the same floats whichever thread computes it, and
-a row's sum reads only that row, so every function returns the same bytes
-on one thread or two.  Below the threshold the second thread costs more
-than it saves (tools/kernel_timing.py prints both paths side by side);
-there the blocks run inline, with no scheduling.  The second thread's
-scratch comes from the caller, so it allocates no array data of its own,
-and it runs in the caller's context, so the caller's np.errstate holds
-there.
+run on more than one CPU, the calling thread shares the block pass with the
+one thread of a pool, started on first use (numpy's elementwise loops
+release the interpreter lock); _weighted_table alone decides this, from n.
+The block pass pops row-block starts from one deque, widest block first, so
+the work splits evenly and a thread that starts late or is descheduled just
+takes fewer blocks.  Block r0:r1 owns M[r0:r1, r0:] and the mirror
+M[r1:, r0:r1]: the blocks write disjoint regions.  Every table, the
+seminorm's, the operator's and the Hessian's, is handed to the pool's
+thread once, for that pass; every sum over it runs on the calling thread.
+Every entry is the same elementwise operation on the same floats whichever
+thread computes it, and a row's sum reads only that row's n contiguous
+entries, so every function returns the same bytes on one thread or two.
+Below the threshold the second thread costs more than it saves
+(tools/kernel_timing.py prints both paths side by side); there the blocks
+run inline, with no scheduling.  The second thread's scratch comes from the
+caller, so it allocates no array data of its own, and it runs in the
+caller's context, so the caller's np.errstate holds there.
 """
 from __future__ import annotations
 
@@ -190,7 +188,8 @@ def _take(todo: deque):
 def _run_blocks(n: int, work, scratch: list) -> None:
     """Call work(starts, scratch[k]) on thread k over an n-row table's blocks.
 
-    The pool's thread runs beside the calling thread; both pop the next
+    This is _weighted_table's one hand-off to the pool per table.  The
+    pool's thread runs beside the calling thread; both pop the next
     row-block start from one deque when they finish a block, so a pool
     thread that starts late, or is descheduled, only takes fewer blocks.
     While tracemalloc is tracing, the calling thread takes every block: the
@@ -227,8 +226,7 @@ def _run_taken(args: list) -> None:
     work(starts, scratch)
 
 
-def _weighted_table(v: np.ndarray, W: np.ndarray, e: float, odd: bool,
-                    threads: int) -> np.ndarray:
+def _weighted_table(v: np.ndarray, W: np.ndarray, e: float, odd: bool) -> np.ndarray:
     """The (B, n, n) tables W_ij |v_bi - v_bj|^e, times sign(v_bi - v_bj) when odd.
 
     One pass per row block r0:r1 builds, signs, weighs and mirrors.  It
@@ -244,8 +242,10 @@ def _weighted_table(v: np.ndarray, W: np.ndarray, e: float, odd: bool,
     where W_ij x_ij underflows (0.0 - y keeps zero entries at +0.0); no sum
     sees it, as every row holds the +0.0 of its diagonal.  The odd map at
     e = 1 is the plain difference, so it takes no mask, abs or power; the
-    even map at e = 2 skips abs, as d^2 is |d|^2 to the bit.  On two
-    threads B is 1 (_stack_rows).
+    even map at e = 2 skips abs, as d^2 is |d|^2 to the bit.  From
+    _PARALLEL_ROWS rows on (_threads) the blocks are shared with the pool's
+    thread in one _run_blocks pass; B is then 1 (_stack_rows).  The caller
+    sums the returned table on its own thread.
     """
     B, n = v.shape
     M = np.empty((B, n, n))
@@ -278,7 +278,7 @@ def _weighted_table(v: np.ndarray, W: np.ndarray, e: float, odd: bool,
     # the odd map's sign mask, one per thread, so the second thread
     # allocates no array data
     neg = np.empty((B, min(_PAIR_BLOCK, n), n), dtype=np.int8) if signed else None
-    if threads == 1:
+    if _threads(n) == 1:
         build(range(0, n, _PAIR_BLOCK), neg)
     else:
         _run_blocks(n, build, [neg, None if neg is None else np.empty_like(neg)])
@@ -290,45 +290,17 @@ def _stack_rows(n: int) -> int:
     return max(1, _STACK_CAP // (n * n))
 
 
-def _by_stack(rows_fn, v: np.ndarray, K: Kernel) -> np.ndarray:
-    """rows_fn(rows, K, threads) over the rows of v, _stack_rows at a time.
+def _by_stack(sums, v: np.ndarray, n: int) -> np.ndarray:
+    """sums(rows) over the rows of v, _stack_rows at a time.
 
     v is one grid function (n,), taken as a stack of one, or a stack
     (B, n); the results are joined along the first axis.
     """
-    rows = v.reshape(-1, K.n)
-    threads = _threads(K.n)
-    step = _stack_rows(K.n)
+    rows = v.reshape(-1, n)
+    step = _stack_rows(n)
     if rows.shape[0] <= step:
-        return rows_fn(rows, K, threads)
-    return np.concatenate([rows_fn(rows[b:b + step], K, threads)
-                           for b in range(0, rows.shape[0], step)])
-
-
-def _interior_sums(rows: np.ndarray, K: Kernel, threads: int) -> np.ndarray:
-    """The weighted pair sums of S, one per row."""
-    M = _weighted_table(rows, K.W, K.p, False, threads)
-    return M.reshape(rows.shape[0], -1).sum(axis=1)
-
-
-def _pair_actions(rows: np.ndarray, K: Kernel, threads: int) -> np.ndarray:
-    """sum_j W_kj Phi_p(u_k - u_j), one row per row.
-
-    On two threads a second block pass takes the row sums, as a block's
-    mirror writes into the rows below it: a row's sum reads that row only,
-    so it is the same float however the rows are grouped.
-    """
-    M = _weighted_table(rows, K.W, K.p - 1.0, True, threads)
-    if threads == 1:
-        return M.sum(axis=-1)
-    out = np.empty(rows.shape)
-
-    def row_sums(starts, _):
-        for r0 in starts:
-            M[:, r0:r0 + _PAIR_BLOCK].sum(axis=-1, out=out[:, r0:r0 + _PAIR_BLOCK])
-
-    _run_blocks(K.n, row_sums, [None, None])
-    return out
+        return sums(rows)
+    return np.concatenate([sums(rows[b:b + step]) for b in range(0, rows.shape[0], step)])
 
 
 def seminorm_p(u, K: Kernel):
@@ -338,7 +310,9 @@ def seminorm_p(u, K: Kernel):
     norm itself.  A float for one grid function, an array of B for a stack.
     """
     v = as_grid_stack(u, K.n)
-    interior = _by_stack(_interior_sums, v, K)
+    # the weighted pair sum of each table in full
+    interior = _by_stack(lambda rows: _weighted_table(rows, K.W, K.p, False)
+                         .reshape(rows.shape[0], -1).sum(axis=1), v, K.n)
     exterior = (K.tail * np.abs(v) ** K.p).sum(axis=-1)
     if v.ndim == 1:
         return float(interior[0]) + 2.0 * K.cell_weight * float(exterior)
@@ -366,7 +340,9 @@ def apply_flap(u, K: Kernel, phi=None) -> np.ndarray:
     the factor 2p are applied in place to the fresh pair sums.
     """
     v = as_grid_stack(u, K.n)
-    g = _by_stack(_pair_actions, v, K).reshape(v.shape)
+    # sum_j W_kj Phi_p(u_k - u_j): each table's row sums
+    g = _by_stack(lambda rows: _weighted_table(rows, K.W, K.p - 1.0, True).sum(axis=-1),
+                  v, K.n).reshape(v.shape)
     g += K.tail_weight * (phi_p(v, K.p) if phi is None else phi)
     g *= 2.0 * K.p
     return g

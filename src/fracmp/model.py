@@ -35,7 +35,7 @@ from .errors import (
     UsageError,
 )
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, _threads, _weighted_table, apply_flap, phi_p, seminorm_p
+from .kernel import Kernel, _weighted_table, apply_flap, phi_p, seminorm_p
 
 
 @dataclass(frozen=True)
@@ -338,13 +338,14 @@ def hessian(u, prob: Problem) -> np.ndarray:
     W_kl |u_k - u_l|^(p-2) (kernel._weighted_table), so it holds one n x n
     array: one pass per row block builds its pair powers, weighs them by W
     and mirrors them into the rows below, exact as W is symmetric to the
-    bit; two threads share the blocks as they do the seminorm's.  At p < 2
+    bit; from kernel._PARALLEL_ROWS rows on that pass is shared with the
+    pool's thread, as the seminorm's and the operator's are.  At p < 2
     it is non-finite wherever two nodes coincide or a node vanishes.
     """
     v = as_grid_function(u, prob.grid.n)
     K = prob.kernel
     with np.errstate(divide="ignore", invalid="ignore"):
-        H = _weighted_table(v[None], K.W, K.p - 2.0, False, _threads(K.n))[0]
+        H = _weighted_table(v[None], K.W, K.p - 2.0, False)[0]
         H *= -2.0 * (K.p - 1.0)
         np.fill_diagonal(H, 0.0)
         diag = (K.p - 1.0) * np.abs(v) ** (K.p - 2.0) * (2.0 * K.tail_weight + prob.hV)

@@ -347,10 +347,12 @@ def _full_hessian(u, prob):
     return H
 
 
-def _check_hessian_bytes(monkeypatch, threaded):
-    """hessian against _full_hessian at every _SIZES entry and p in (2, 4],
-    p = 3 (the pair power is |d|) and p = 4 (d^2, no abs) among them; the
-    two-thread path runs from _PARALLEL_ROWS rows on exactly if threaded."""
+def _check_table_bytes(monkeypatch, threaded):
+    """seminorm_p, apply_flap and hessian against their full formulas at
+    every _SIZES entry and p in (2, 4], p = 3 (the pair power is |d|) and
+    p = 4 (d^2, no abs) among them.  Each call hands its one table to the
+    pool's thread exactly once from _PARALLEL_ROWS rows on if threaded, and
+    never otherwise: every sum runs on the calling thread."""
     handoffs = []
     run_blocks = kernel._run_blocks
 
@@ -368,9 +370,13 @@ def _check_hessian_bytes(monkeypatch, threaded):
                             make_potential(g, values=rng.uniform(-1.0, 2.0, n)), 0.7,
                             make_nonlinearity(p + 0.5, 1.0, p, s))
         u = _draw_u(n, seed, levels, scale)
-        del handoffs[:]
-        assert hessian(u, prob).tobytes() == _full_hessian(u, prob).tobytes()
-        assert handoffs == ([n] if threaded and n >= _PARALLEL_ROWS else [])
+        K = prob.kernel
+        for call, want in ((lambda: seminorm_p(u, K), _full_seminorm(u, K)),
+                           (lambda: apply_flap(u, K), _full_flap(u, K)),
+                           (lambda: hessian(u, prob), _full_hessian(u, prob))):
+            del handoffs[:]
+            assert np.asarray(call()).tobytes() == np.asarray(want).tobytes()
+            assert handoffs == ([n] if threaded and n >= _PARALLEL_ROWS else [])
 
     for n in _SIZES:
         for p in (2.5, 3.0, 4.0):
@@ -392,13 +398,14 @@ def _check_hessian_bytes(monkeypatch, threaded):
 
 
 def test_hessian_matches_full_formula_bit_for_bit(monkeypatch):
-    # every table on the calling thread
+    # every table on the calling thread; seminorm_p and apply_flap too
     monkeypatch.setattr(kernel, "_CPUS", 1)
-    _check_hessian_bytes(monkeypatch, threaded=False)
+    _check_table_bytes(monkeypatch, threaded=False)
 
 
 def test_two_thread_hessian_matches_full_formula_bit_for_bit(two_threads, monkeypatch):
-    _check_hessian_bytes(monkeypatch, threaded=True)
+    # seminorm_p and apply_flap too: one hand-off per table
+    _check_table_bytes(monkeypatch, threaded=True)
 
 
 def test_concurrent_callers_get_the_serial_bytes(two_threads):

@@ -7,6 +7,7 @@ contracts (residual, monotone levels, ring lower bound) rather than
 frozen iterates.
 """
 
+import dataclasses
 import functools
 import logging
 import math
@@ -48,9 +49,11 @@ from fracmp import (
     sobolev_constant,
     torsion_solve,
 )
+from fracmp.config import _check, lambdas, parse_config
 from fracmp.kernel import apply_flap, phi_p
 from fracmp.model import f_eval, gradient, hessian
 from fracmp.solve import _hessian_product
+from fracmp.sweep import assemble, certify, first_solution
 
 
 @pytest.fixture(scope="module")
@@ -586,3 +589,22 @@ def test_hessian_product_matches_parent_formula():
         assert gradient(X, prob).tobytes() == _parent_gradient(X, prob).tobytes()
 
     check()
+
+
+def test_solve_cfg_converges_under_mesh_refinement(config_dir):
+    # configs/solve.cfg at n = 24, 48, 96: lambda1 rises, the mountain-pass
+    # value and its norm_W fall, and each successive difference shrinks.
+    # The ratios of successive differences read 2.67 (lambda1), 1.36 (MP
+    # value) and 1.34 (norm_W) here, and 2.48, 1.91 and 1.89 from n = 48,
+    # 96, 192: still pre-asymptotic, so the bands leave room both ways
+    base = parse_config("%s/solve.cfg" % config_dir)
+    seqs = []
+    for n in (24, 48, 96):
+        cfg = _check(dataclasses.replace(base, n=n))
+        eig, prob, consts = certify(cfg, assemble(cfg), float(lambdas(cfg)[0]))
+        cp, _ = first_solution(cfg, prob, eig.phi1, consts)
+        seqs.append((eig.lambda1, cp.value, norm_W(cp.u, prob.kernel)))
+    for (a, b, c), sign, (lo, hi) in zip(zip(*seqs), (1.0, -1.0, -1.0),
+                                         ((2.0, 3.2), (1.15, 2.3), (1.15, 2.3))):
+        assert sign * (b - a) > 0.0 and sign * (c - b) > 0.0
+        assert lo < (b - a) / (c - b) < hi

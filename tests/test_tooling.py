@@ -72,9 +72,12 @@ def test_phase_timing_table_runs(capsys):
     mp_eig = [float(x) for x in row[2].split(",")]
     second_eig = [float(x) for x in row[3].split(",")]
     assert mp_eig[0] < 0.0 < mp_eig[1] and 0.0 < second_eig[0] <= second_eig[1]
-    # the flow reaches tol at n = 16, so the Newton fallback does not fire
-    flow, newton = row[4].split()
+    # the flow reaches tol at n = 16, so the Newton fallback does not fire;
+    # the polish turns its direction once before the flow and once per 40
+    # steps after it
+    flow, negdir, newton = row[4].split()
     assert int(flow) > 0 and newton == "no"
+    assert 1 <= int(negdir) <= 1 + int(flow) // 40
 
 
 def test_output_digest_is_reproducible(capsys):

@@ -11,7 +11,9 @@ lowest eigenvalues of H/h, the energy's Hessian over the grid spacing, at
 the mountain-pass point and at the second solution: their scale does not
 depend on n, and their signs give the Morse type (one negative at a
 mountain-pass point, none at a local minimum).  Last come the polish's
-flow steps and whether its Newton fallback fired (the INFO record
+flow steps, its calls of solve._negative_direction (each runs its 40
+iterations, two finite-difference Hessian products each, so a call is
+80 products), and whether its Newton fallback fired (the INFO record
 fracmp.solve logs when it does).
 
 Each phase is timed once.  The tool has no pass/fail gate: wall-clock
@@ -50,7 +52,9 @@ def phases(n: int) -> dict:
     cfg = _check(replace(parse_config(CONFIG), n=n))
     polish = []
     flow = []
+    turns = []
     real = solve._polish_saddle
+    real_turn = solve._negative_direction
 
     def timed_polish(*args, **kwargs):
         t0 = time.perf_counter()
@@ -60,6 +64,10 @@ def phases(n: int) -> dict:
             polish.append(time.perf_counter() - t0)
         flow.append(steps)
         return u, steps
+
+    def counted_turn(*args, **kwargs):
+        turns.append(None)
+        return real_turn(*args, **kwargs)
 
     notes = []
     handler = logging.Handler(logging.INFO)
@@ -71,12 +79,14 @@ def phases(n: int) -> dict:
     eig, prob, consts = certify(cfg, assemble(cfg), float(lambdas(cfg)[0]))
     t1 = time.perf_counter()
     solve._polish_saddle = timed_polish
+    solve._negative_direction = counted_turn
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
         cp, e1 = first_solution(cfg, prob, eig.phi1, consts)
     finally:
         solve._polish_saddle = real
+        solve._negative_direction = real_turn
         log.removeHandler(handler)
         log.setLevel(level)
     t2 = time.perf_counter()
@@ -88,7 +98,7 @@ def phases(n: int) -> dict:
     return {"certify": t1 - t0, "mp": t2 - t1, "polish": sum(polish),
             "second": t3 - t2, "mp_eig": _lowest(cp.u, prob),
             "second_eig": _lowest(None if second is None else second.u, prob),
-            "flow": sum(flow),
+            "flow": sum(flow), "negdir": len(turns),
             "newton": any(r.getMessage().startswith("saddle polish used the Newton fallback")
                           for r in notes)}
 
@@ -97,14 +107,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
     args = parser.parse_args(argv)
-    print("%6s | %9s %9s %9s %9s | %-20s | %-20s | %6s %6s" % (
+    print("%6s | %9s %9s %9s %9s | %-20s | %-20s | %6s %6s %6s" % (
         "n", "certify s", "MP s", "polish s", "second s", "MP eig(H/h)", "second eig(H/h)",
-        "flow", "Newton"))
+        "flow", "negdir", "Newton"))
     for n in (int(x) for x in args.sizes.split(",")):
         r = phases(n)
-        print("%6d | %9.3f %9.3f %9.3f %9.3f | %-20s | %-20s | %6d %6s" % (
+        print("%6d | %9.3f %9.3f %9.3f %9.3f | %-20s | %-20s | %6d %6d %6s" % (
             n, r["certify"], r["mp"], r["polish"], r["second"], r["mp_eig"],
-            r["second_eig"], r["flow"], "yes" if r["newton"] else "no"))
+            r["second_eig"], r["flow"], r["negdir"], "yes" if r["newton"] else "no"))
     return 0
 
 
