@@ -34,7 +34,7 @@ from .errors import (
     UsageError,
 )
 from .grid import read_gridfn, write_gridfn
-from .kernel import apply_flap, norm_W, seminorm_p
+from .kernel import apply_flap, norm_W, seminorm_p, weight_matrix
 from .model import energy, gradient, make_problem, residual_norm
 from .solve import (
     comparison_check,
@@ -236,10 +236,13 @@ def cmd_verify(cfg: Config) -> int:
     eig = consts = None
 
     def chk_kernel():
-        if not np.array_equal(kern.W, kern.W.T):
+        if not all(np.all(np.isfinite(Wb) & (Wb >= 0.0)) for Wb in kern.W_blocks):
+            raise AssertionError("kernel weights must be finite and non-negative")
+        if not np.all(kern.tail > 0.0):
+            raise AssertionError("tail coefficients must be positive")
+        bits = weight_matrix(kern).view(np.int64)
+        if not np.array_equal(bits, bits.T):
             raise AssertionError("kernel matrix not symmetric")
-        if np.any(kern.W < 0.0) or np.any(kern.tail <= 0.0):
-            raise AssertionError("kernel weights must be positive")
         return "n=%d" % grid.n
 
     check("kernel symmetry and positivity", chk_kernel)

@@ -35,6 +35,8 @@ _REQUIRED = ("a", "b", "n", "s", "p", "q", "f0")
 # bytes, so n <= 13377.  Beside the weight table a command holds a pair table,
 # or the Hessian and the dense solve's copy (the saddle polish's Newton
 # fallback), or at p = 2 verify's quadratic form and its Cholesky factor.
+# The weight table is held as its upper row blocks, about n^2 / 2 + 64 n
+# entries (kernel.Kernel), so the limit overstates it by about half.
 # The same limit bounds the lambda grid, 8 bytes a lambda, and the mountain
 # pass's refined path of P = path_vertices segments, (2P+1) n 8-byte values.
 MAX_TABLE_BYTES = 4 * 2 ** 30

@@ -142,6 +142,27 @@ def torsion_gradient(u, K: Kernel, grid: Grid, V: Potential, rhs: float = 1.0) -
     return operator_action(v, K, grid.h, V) - rhs * grid.h
 
 
+def _torsion_start(hat: np.ndarray, K: Kernel, grid: Grid, V: Potential,
+                   rhs: float) -> tuple[float, float]:
+    """The t of least E(t hat) on a log scan of 25 scales, and that energy.
+
+    The energy is p-homogeneous plus linear on the ray, E(t hat) = t^p A - t B
+    with A = operator_energy(hat) and B = rhs h sum(hat), so the closed form
+    finds the least scale up to rounding, and the exact energy at it and its
+    neighbours settles it as a scan of every scale would: the first least
+    of the exact values, E being unimodal in t (A > 0 when c_V < lambda1).
+    Four pair tables, not 25.
+    """
+    scales = np.geomspace(1e-3, 1e3, 25)
+    A = operator_energy(hat, K, grid.h, V)
+    B = rhs * grid.h * float(np.sum(hat))
+    near = int(np.argmin(scales ** K.p * A - scales * B))
+    first = max(near - 1, 0)
+    vals = [torsion_energy(t * hat, K, grid, V, rhs) for t in scales[first:near + 2]]
+    k = int(np.argmin(vals))
+    return scales[first + k], vals[k]
+
+
 def torsion_solve(K: Kernel, grid: Grid, V: Potential, tol: float,
                   rhs: float = 1.0, max_iter: int | None = None,
                   lambda1: float | None = None) -> TorsionResult:
@@ -159,18 +180,15 @@ def torsion_solve(K: Kernel, grid: Grid, V: Potential, tol: float,
             "c_V = %g >= lambda1 = %g: potential gate failed" % (V.cV, lambda1)
         )
     cap = TORSION_CAP_PER_NODE * K.n if max_iter is None else int(max_iter)
-    # start on the hat ray at the best of a coarse log scan of t -> E(t*hat)
     hat = grid.d / np.max(grid.d)
-    scales = np.geomspace(1e-3, 1e3, 25)
-    vals = [torsion_energy(t * hat, K, grid, V, rhs) for t in scales]
-    best = int(np.argmin(vals))
+    t, E0 = _torsion_start(hat, K, grid, V, rhs)
 
     def trial(u, alpha, g):
         v = u - alpha * g
         return v, torsion_energy(v, K, grid, V, rhs)
 
     u, E, residual, it, trace = bb_descent(
-        scales[best] * hat, vals[best],
+        t * hat, E0,
         lambda u, _: torsion_gradient(u, K, grid, V, rhs), trial, tol, cap, grid.h)
     positive = bool(np.min(u) > 0.0)
     result = TorsionResult(u=u, value=float(E), residual=residual,

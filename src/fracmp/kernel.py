@@ -22,6 +22,14 @@ formula gives, up to the sign of an underflowed zero that no sum sees.  The
 table is summed in full for the seminorm and by rows for the operator, on
 the calling thread.
 
+So the pass reads only W[r0:r1, r0:] of each _PAIR_BLOCK-row block r0:r1,
+and the Kernel holds exactly these upper row blocks, each one contiguous
+array: about n^2 / 2 + 64 n entries, with no n x n array.  assemble_kernel
+builds each block in place from the node distances, with the same steps
+the dense table took, so every block is the matching slice of that table to
+the bit.  weight_matrix(K) mirrors the blocks into a fresh dense W for the
+callers that want it whole (quadratic_form_matrix, verify, the tests).
+
 seminorm_p, norm_W and apply_flap take one grid function (n,) or a stack of
 them (B, n), and return one result per row.  A stack builds one (B, n, n)
 table: the same row-block loop, with every slice taken across the stack,
@@ -106,17 +114,20 @@ if hasattr(os, "register_at_fork"):
 class Kernel:
     """Precomputed weights for a fixed (grid, s, p).
 
-    W is the symmetric n x n table of cell-pair weights, tail the per-node
-    exterior coefficients, cell_weight the quadrature weight h.  W[i][i]
-    is set to the adjacent-cell closed form purely as a finite placeholder:
-    the diagonal multiplies |u_i - u_i|^p = 0 in every sum.
+    W is the symmetric n x n table of cell-pair weights; W_blocks holds its
+    upper row blocks, W_blocks[k] = W[r0:r0 + _PAIR_BLOCK, r0:] with
+    r0 = k _PAIR_BLOCK, one contiguous array each, and weight_matrix(K)
+    builds W whole.  tail holds the per-node exterior coefficients,
+    cell_weight the quadrature weight h.  W[i][i] is set to the
+    adjacent-cell closed form purely as a finite placeholder: the diagonal
+    multiplies |u_i - u_i|^p = 0 in every sum.
     """
 
     s: float
     p: float
     n: int
     cell_weight: float
-    W: np.ndarray
+    W_blocks: tuple
     tail: np.ndarray
 
     @cached_property
@@ -131,7 +142,7 @@ def adjacent_cell_weight(h: float, sp: float) -> float:
 
 
 def assemble_kernel(grid: Grid, s: float, p: float) -> Kernel:
-    """Assemble the dense weight table and tail coefficients."""
+    """Assemble the weight table's row blocks and the tail coefficients."""
     s = float(s)
     p = float(p)
     if not 0.0 < s < 1.0:
@@ -145,17 +156,31 @@ def assemble_kernel(grid: Grid, s: float, p: float) -> Kernel:
         )
     x = grid.nodes
     h = grid.h
-    # built in place: the one n x n array is W itself
-    W = np.subtract(x[:, None], x[None, :])
-    np.abs(W, out=W)
-    with np.errstate(divide="ignore"):
-        np.power(W, -(1.0 + sp), out=W)
-    np.multiply(h * h, W, out=W)
     near = adjacent_cell_weight(h, sp)
-    for band in (W, W[1:], W[:, 1:]):
-        np.fill_diagonal(band, near)
+    blocks = []
+    for r0 in range(0, grid.n, _PAIR_BLOCK):
+        # built in place: each block is the one array of its rows
+        Wb = np.subtract(x[r0:r0 + _PAIR_BLOCK, None], x[None, r0:])
+        np.abs(Wb, out=Wb)
+        with np.errstate(divide="ignore"):
+            np.power(Wb, -(1.0 + sp), out=Wb)
+        np.multiply(h * h, Wb, out=Wb)
+        # the diagonal and the two bands beside it, as far as the block holds them
+        for band in (Wb, Wb[1:], Wb[:, 1:]):
+            np.fill_diagonal(band, near)
+        blocks.append(Wb)
     tail = ((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp
-    return Kernel(s=s, p=p, n=grid.n, cell_weight=h, W=W, tail=tail)
+    return Kernel(s=s, p=p, n=grid.n, cell_weight=h, W_blocks=tuple(blocks), tail=tail)
+
+
+def weight_matrix(K: Kernel) -> np.ndarray:
+    """A fresh dense n x n W: each block copied, its transpose mirrored below it."""
+    W = np.empty((K.n, K.n))
+    for r0, Wb in zip(range(0, K.n, _PAIR_BLOCK), K.W_blocks):
+        r1 = r0 + Wb.shape[0]
+        W[r0:r1, r0:] = Wb
+        W[r1:, r0:r1] = Wb[:, r1 - r0:].T
+    return W
 
 
 def phi_p(s, p: float):
@@ -226,26 +251,27 @@ def _run_taken(args: list) -> None:
     work(starts, scratch)
 
 
-def _weighted_table(v: np.ndarray, W: np.ndarray, e: float, odd: bool) -> np.ndarray:
+def _weighted_table(v: np.ndarray, W_blocks: tuple, e: float, odd: bool) -> np.ndarray:
     """The (B, n, n) tables W_ij |v_bi - v_bj|^e, times sign(v_bi - v_bj) when odd.
 
     One pass per row block r0:r1 builds, signs, weighs and mirrors.  It
     subtracts to get the columns j >= r0 of every table in the stack, takes
     the odd map's sign as a one-byte -1/0 mask of the negative differences,
     raises |d| to e, copies the sign back (sign(d) |d|^e to the bit, zero
-    entries included, as sign(-0.0) is +0.0), multiplies by W[r0:r1, r0:],
-    and writes the transpose of the weighted block below it, negated when
-    odd.  A mirrored entry is the float the full formula gives: W is
-    symmetric to the bit, IEEE subtraction gives v_j - v_i = -(v_i - v_j),
-    and rounding commutes with negation, so entry (j, i) is -(W_ij x_ij)
-    when entry (i, j) is W_ij x_ij.  Only the sign of a zero may differ,
-    where W_ij x_ij underflows (0.0 - y keeps zero entries at +0.0); no sum
-    sees it, as every row holds the +0.0 of its diagonal.  The odd map at
-    e = 1 is the plain difference, so it takes no mask, abs or power; the
-    even map at e = 2 skips abs, as d^2 is |d|^2 to the bit.  From
-    _PARALLEL_ROWS rows on (_threads) the blocks are shared with the pool's
-    thread in one _run_blocks pass; B is then 1 (_stack_rows).  The caller
-    sums the returned table on its own thread.
+    entries included, as sign(-0.0) is +0.0), multiplies by W[r0:r1, r0:]
+    (the block's own array in W_blocks, Kernel), and writes the transpose
+    of the weighted block below it, negated when odd.  A mirrored entry is
+    the float the full formula gives: W is symmetric to the bit, IEEE
+    subtraction gives v_j - v_i = -(v_i - v_j), and rounding commutes with
+    negation, so entry (j, i) is -(W_ij x_ij) when entry (i, j) is
+    W_ij x_ij.  Only the sign of a zero may differ, where W_ij x_ij
+    underflows (0.0 - y keeps zero entries at +0.0); no sum sees it, as
+    every row holds the +0.0 of its diagonal.  The odd map at e = 1 is the
+    plain difference, so it takes no mask, abs or power; the even map at
+    e = 2 skips abs, as d^2 is |d|^2 to the bit.  From _PARALLEL_ROWS rows
+    on (_threads) the blocks are shared with the pool's thread in one
+    _run_blocks pass; B is then 1 (_stack_rows).  The caller sums the
+    returned table on its own thread.
     """
     B, n = v.shape
     M = np.empty((B, n, n))
@@ -266,7 +292,7 @@ def _weighted_table(v: np.ndarray, W: np.ndarray, e: float, odd: bool) -> np.nda
                 np.power(blk, e, out=blk)
             if signed:
                 np.copysign(blk, sgn, out=blk)
-            np.multiply(W[r0:r1, r0:], blk, out=blk)
+            np.multiply(W_blocks[r0 // _PAIR_BLOCK], blk, out=blk)
             if r1 == n:
                 continue
             mirror = blk[:, :, r1 - r0:].transpose(0, 2, 1)
@@ -311,7 +337,7 @@ def seminorm_p(u, K: Kernel):
     """
     v = as_grid_stack(u, K.n)
     # the weighted pair sum of each table in full
-    interior = _by_stack(lambda rows: _weighted_table(rows, K.W, K.p, False)
+    interior = _by_stack(lambda rows: _weighted_table(rows, K.W_blocks, K.p, False)
                          .reshape(rows.shape[0], -1).sum(axis=1), v, K.n)
     exterior = (K.tail * np.abs(v) ** K.p).sum(axis=-1)
     if v.ndim == 1:
@@ -341,8 +367,8 @@ def apply_flap(u, K: Kernel, phi=None) -> np.ndarray:
     """
     v = as_grid_stack(u, K.n)
     # sum_j W_kj Phi_p(u_k - u_j): each table's row sums
-    g = _by_stack(lambda rows: _weighted_table(rows, K.W, K.p - 1.0, True).sum(axis=-1),
-                  v, K.n).reshape(v.shape)
+    g = _by_stack(lambda rows: _weighted_table(rows, K.W_blocks, K.p - 1.0, True)
+                  .sum(axis=-1), v, K.n).reshape(v.shape)
     g += K.tail_weight * (phi_p(v, K.p) if phi is None else phi)
     g *= 2.0 * K.p
     return g
@@ -358,7 +384,8 @@ def quadratic_form_matrix(K: Kernel) -> np.ndarray:
         raise UsageError("quadratic form exists only at p = 2, kernel has p=%g" % K.p)
     # -2 W off the diagonal; doubling and negation are exact, so the row
     # sums of this G are -2 times those of W with a zero diagonal
-    G = np.multiply(K.W, -2.0)
+    G = weight_matrix(K)
+    G *= -2.0
     np.fill_diagonal(G, 0.0)
     np.fill_diagonal(G, 2.0 * K.cell_weight * K.tail - G.sum(axis=1))
     return G

@@ -345,7 +345,7 @@ def hessian(u, prob: Problem) -> np.ndarray:
     v = as_grid_function(u, prob.grid.n)
     K = prob.kernel
     with np.errstate(divide="ignore", invalid="ignore"):
-        H = _weighted_table(v[None], K.W, K.p - 2.0, False)[0]
+        H = _weighted_table(v[None], K.W_blocks, K.p - 2.0, False)[0]
         H *= -2.0 * (K.p - 1.0)
         np.fill_diagonal(H, 0.0)
         diag = (K.p - 1.0) * np.abs(v) ** (K.p - 2.0) * (2.0 * K.tail_weight + prob.hV)

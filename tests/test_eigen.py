@@ -25,6 +25,7 @@ from fracmp import (
     seminorm_p,
     torsion_solve,
 )
+from fracmp.eigen import _torsion_start, torsion_energy
 
 # dense-eigh oracle values for (0,1), s = 0.4, p = 2
 LAMBDA1_N100 = 12.979816425792386
@@ -220,6 +221,35 @@ def test_torsion_against_dense_linear_solve():
     direct = np.linalg.solve(A, g.h * np.ones(64))
     np.testing.assert_allclose(tor.u, direct, rtol=1e-6, atol=1e-10)
     assert seminorm_p(tor.u, K) > 0.0
+
+
+def test_torsion_start_matches_the_full_scan():
+    # the closed form on the hat ray and three exact energies pick the start
+    # a scan of every scale picks: the same scale and the same float
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.integers(2, 64), st.floats(2.0, 4.0), st.floats(0.05, 0.95),
+               st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.95), st.sampled_from((1.0, -1.0)),
+               st.floats(0.01, 100.0))
+    def check(n, p, s_frac, seed, neg, sign, size):
+        g = build_grid(0.0, 1.0, n)
+        K = assemble_kernel(g, s_frac / p, p)
+        # lambda1 >= 2 min(tail), as S(u) >= 2 h sum t |u|^p: the negative
+        # part of V stays below lambda1
+        low = -neg * 2.0 * float(np.min(K.tail))
+        V = make_potential(g, values=np.random.default_rng(seed).uniform(low, 1.0, n))
+        rhs = sign * size
+        hat = g.d / np.max(g.d)
+        scales = np.geomspace(1e-3, 1e3, 25)
+        vals = [torsion_energy(t * hat, K, g, V, rhs) for t in scales]
+        best = int(np.argmin(vals))
+        t, value = _torsion_start(hat, K, g, V, rhs)
+        assert t == scales[best]
+        assert np.float64(value).tobytes() == np.float64(vals[best]).tobytes()
+
+    check()
 
 
 def test_torsion_potential_gate():

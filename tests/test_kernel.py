@@ -35,7 +35,7 @@ from fracmp import (
     seminorm_p,
 )
 from fracmp import kernel
-from fracmp.kernel import _PAIR_BLOCK, _PARALLEL_ROWS
+from fracmp.kernel import _PAIR_BLOCK, _PARALLEL_ROWS, weight_matrix
 from fracmp.model import f_prime, hessian
 
 
@@ -56,16 +56,68 @@ def test_assemble_rejects_bad_regimes():
 def test_weights_symmetric_nonnegative():
     g = build_grid(-1.3, 2.1, 23)
     K = assemble_kernel(g, 0.3, 2.5)
-    np.testing.assert_array_equal(K.W, K.W.T)
-    assert np.all(K.W >= 0.0)
-    assert np.all(np.isfinite(K.W))
+    W = weight_matrix(K)
+    np.testing.assert_array_equal(W, W.T)
+    assert np.all(W >= 0.0)
+    assert np.all(np.isfinite(W))
+
+
+def _dense_weights(grid, s, p):
+    """The n x n weight table built in place in one array, every power computed."""
+    x, h, sp = grid.nodes, grid.h, s * p
+    W = np.subtract(x[:, None], x[None, :])
+    np.abs(W, out=W)
+    with np.errstate(divide="ignore"):
+        np.power(W, -(1.0 + sp), out=W)
+    np.multiply(h * h, W, out=W)
+    for band in (W, W[1:], W[:, 1:]):
+        np.fill_diagonal(band, adjacent_cell_weight(h, sp))
+    return W
+
+
+@pytest.mark.parametrize("n", [1, 2, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 200,
+                               _PARALLEL_ROWS + 8])
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_weight_blocks_are_the_dense_table_bit_for_bit(n, p):
+    # block k holds rows r0:r0 + _PAIR_BLOCK from column r0 on, and nothing else
+    g = build_grid(-0.4, 1.7, n)
+    s = 0.9 / (p + 0.5)
+    K = assemble_kernel(g, s, p)
+    dense = _dense_weights(g, s, p)
+    starts = range(0, n, _PAIR_BLOCK)
+    assert len(K.W_blocks) == len(starts)
+    for r0, Wb in zip(starts, K.W_blocks):
+        want = dense[r0:r0 + _PAIR_BLOCK, r0:]
+        assert Wb.shape == want.shape and Wb.flags.c_contiguous
+        assert Wb.tobytes() == want.tobytes()
+    W = weight_matrix(K)
+    assert W.tobytes() == dense.tobytes()
+    assert W.tobytes() == W.T.tobytes(order="C")
+
+
+def test_assembly_holds_no_dense_table():
+    # the blocks hold about n^2 / 2 + 64 n entries; the dense table was n^2
+    n = 1024
+    g = build_grid(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        K = assemble_kernel(g, 0.3, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 8 * n * n
+    held = [a for value in vars(K).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    assert all(a.shape != (n, n) for a in held)
+    assert sum(Wb.size for Wb in K.W_blocks) == n * n // 2 + _PAIR_BLOCK // 2 * n
 
 
 def test_far_field_weight_formula():
     # direct formula at h = 0.1: nodes 1 and 5 are 4h apart
     g = build_grid(0.0, 1.0, 9)
     K = assemble_kernel(g, 0.4, 2.0)
-    assert K.W[0, 4] == pytest.approx(0.1 ** 2 * (4 * 0.1) ** -1.8, rel=1e-14)
+    assert weight_matrix(K)[0, 4] == pytest.approx(0.1 ** 2 * (4 * 0.1) ** -1.8, rel=1e-14)
 
 
 def test_adjacent_cell_weight_against_quadrature():
@@ -130,11 +182,12 @@ def test_seminorm_matches_direct_summation():
     K = assemble_kernel(g, 0.3, 2.5)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(10)
+    W = weight_matrix(K)
     total = 0.0
     for i in range(10):
         for j in range(10):
             if i != j:
-                total += K.W[i, j] * abs(u[i] - u[j]) ** 2.5
+                total += W[i, j] * abs(u[i] - u[j]) ** 2.5
         total += 2.0 * g.h * K.tail[i] * abs(u[i]) ** 2.5
     assert seminorm_p(u, K) == pytest.approx(total, rel=1e-12)
 
@@ -259,7 +312,7 @@ def test_quadratic_form_matrix_needs_p_two():
 
 def _full_seminorm(u, K):
     diff = np.abs(u[:, None] - u[None, :])
-    interior = float(np.sum(K.W * diff ** K.p))
+    interior = float(np.sum(weight_matrix(K) * diff ** K.p))
     return interior + 2.0 * K.cell_weight * float(np.sum(K.tail * np.abs(u) ** K.p))
 
 
@@ -268,7 +321,7 @@ def _full_flap(u, K):
         return d if K.p == 2.0 else np.sign(d) * np.abs(d) ** (K.p - 1.0)
 
     diff = u[:, None] - u[None, :]
-    pair = (K.W * phi(diff)).sum(axis=1)
+    pair = (weight_matrix(K) * phi(diff)).sum(axis=1)
     return 2.0 * K.p * (pair + K.cell_weight * K.tail * phi(u))
 
 
@@ -339,7 +392,8 @@ def _full_hessian(u, prob):
     # -2(p-1) W |d|^(p-2) off the diagonal, every pair power computed; on
     # the diagonal the documented sum, in the order hessian forms it
     K = prob.kernel
-    H = K.W * np.abs(u[:, None] - u[None, :]) ** (K.p - 2.0) * (-2.0 * (K.p - 1.0))
+    H = (weight_matrix(K) * np.abs(u[:, None] - u[None, :]) ** (K.p - 2.0)
+         * (-2.0 * (K.p - 1.0)))
     np.fill_diagonal(H, 0.0)
     diag = (K.p - 1.0) * np.abs(u) ** (K.p - 2.0) * (2.0 * K.cell_weight * K.tail
                                                       + prob.h * prob.V.values)

@@ -442,6 +442,22 @@ def test_cli_verify_all_checks_pass(tmp_path, capsys):
     assert sum(ln.startswith("ok   ") for ln in lines) == 9
 
 
+def test_cli_verify_kernel_check_finds_a_negative_weight(tmp_path, capsys, monkeypatch):
+    # one negative entry off the diagonal of one stored block: the mirrored
+    # table stays symmetric, so the sign test alone catches it
+    real = fracmp.cli.assemble
+
+    def planted(cfg):
+        grid, kern, V, nl = real(cfg)
+        kern.W_blocks[0][3, 7] = -kern.W_blocks[0][3, 7]
+        return grid, kern, V, nl
+
+    monkeypatch.setattr(fracmp.cli, "assemble", planted)
+    assert main(["verify", _write(tmp_path, SMALL)]) == 1
+    assert ("FAIL kernel symmetry and positivity: AssertionError: kernel weights must be "
+            "finite and non-negative") in capsys.readouterr().out.splitlines()
+
+
 def test_cli_verify_reports_stalled_eigenpair(tmp_path, capsys):
     # the eigenpair is a check like the others: its failure is reported,
     # the checks built on it are skipped, and the suite runs to its summary

@@ -52,14 +52,21 @@ def test_kernel_timing_tables_run(monkeypatch, capsys):
     tool.pair_table([8], 1)
     tool.stack_table([8], 1)
     tool.layer_table([8], (1, 2), 1)
+    tool.kernel_table([8, 130], 1)
     rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
     timed = [r for r in rows if r and r[0] in ("2", "2.5")]
-    # two exponents: one pair-table row, B = 1 plus four caps, two layer rows
-    assert len(timed) == 2 * (1 + 5 + 2)
+    # two exponents: one pair-table row, B = 1 plus four caps, two layer
+    # rows, two kernel rows
+    assert len(timed) == 2 * (1 + 5 + 2 + 2)
     # a pair-table row: p, n, then seminorm_p, apply_flap and hessian on
     # two threads and on one
     assert [len(r) for r in timed].count(2 + 3 * 3) == 2
     assert all(float(r[-1]) > 0.0 for r in timed)
+    # a kernel row: p, n, then the bytes of the row blocks and the tail
+    # (one 8 x 8 block; blocks of 128 x 130 and 2 x 2 at n = 130), and the
+    # assembly time
+    held = {int(r[1]): int(r[3]) for r in timed[-4:]}
+    assert held == {8: 8 * (8 * 8 + 8), 130: 8 * (128 * 130 + 2 * 2 + 130)}
 
 
 def test_phase_timing_table_runs(capsys):

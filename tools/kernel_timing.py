@@ -24,6 +24,10 @@ B directions (one gradient call on 2B points).  The points have no
 negative entry, as the mountain pass's iterates.  These are the layers
 whose per-call overhead sets the time of small-n solves.
 
+The fourth table prints, for p = 2 and p = 2.5 and each n, the bytes of
+array data the assembled Kernel holds (its weight-table row blocks and its
+tail) and the median time in microseconds of assemble_kernel.
+
 Each median is over R rounds that alternate the paths compared; a round
 times a loop long enough to take about 20 ms.  The tool has no pass/fail
 gate: wall-clock times on a shared host vary too much for one.
@@ -167,6 +171,19 @@ def layer_table(sizes, points, repeats):
                       % (p, n, B, *_time_layers(prob, B, repeats)))
 
 
+def kernel_table(sizes, repeats):
+    print("%-4s %6s | %12s %12s" % ("p", "n", "kernel B", "assemble us"))
+    for p in EXPONENTS:
+        for n in sizes:
+            grid = build_grid(0.0, 1.0, n)
+            s = 0.9 / (p + 0.5)
+            K = kernel.assemble_kernel(grid, s, p)
+            held = sum(Wb.nbytes for Wb in K.W_blocks) + K.tail.nbytes
+            us = statistics.median(_per_call_us(lambda: kernel.assemble_kernel(grid, s, p),
+                                                repeats))
+            print("%-4g %6d | %12d %12.1f" % (p, n, held, us))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
@@ -177,6 +194,8 @@ def main(argv=None) -> int:
     stack_table(STACK_SIZES, args.repeats)
     print()
     layer_table(LAYER_SIZES, LAYER_POINTS, args.repeats)
+    print()
+    kernel_table([int(x) for x in args.sizes.split(",")], args.repeats)
     return 0
 
 
