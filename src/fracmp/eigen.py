@@ -1,14 +1,14 @@
-"""First eigenpair by Rayleigh-quotient minimization, and the torsion problem.
+"""Rayleigh-quotient minimization (the first eigenpair and the embedding
+constant) and the torsion problem.
 
 Both solvers run the monotone Barzilai-Borwein descent with backtracking
 of ``_descent.bb_descent``, each with its own trial step: every accepted
 step lowers the objective (up to a machine-epsilon slack; near
 convergence the true decrement drops below one ulp of the objective
 while the gradient still has room to shrink), so the recorded traces are
-non-increasing to floating-point resolution.  The eigen iteration
-projects onto nonnegativity (|u| can only lower the quotient, the kernel
-weights being nonnegative) and renormalizes on the unit sphere of the
-solution-space norm.
+non-increasing to floating-point resolution.  ``rayleigh_minimum``
+minimizes S(u) / ||u||_t^p for any mass exponent t: the first eigenpair
+is its t = p case, and ``solve.sobolev_constant`` runs it at t = q + 1.
 """
 from __future__ import annotations
 
@@ -62,9 +62,43 @@ def rayleigh(u, K: Kernel, grid: Grid) -> float:
     return seminorm_p(v, K) / mass
 
 
+def rayleigh_minimum(K: Kernel, grid: Grid, t: float, start, tol: float, cap: int):
+    """Minimize R(u) = S(u) / (h sum |u_i|^t)^(p/t) over u >= 0 on the sphere S(u) = 1.
+
+    The projected descent of ``bb_descent`` from start: each trial step
+    is |u - alpha g| (|u| can only lower the quotient, the kernel weights
+    being nonnegative) renormalized to S = 1, where R = 1/(h sum v^t)^(p/t).
+    The defect apply_flap(u)/p - R^(t/p) h Phi_t(u) is parallel to the
+    sphere gradient of R.  At t = p this is the first eigenvalue; at t > p
+    it is C^(-p) for the embedding constant C = sup ||u||_t / S(u)^(1/p).
+    Returns bb_descent's (u, R, residual, iterations, trace); convergence
+    is the caller's test.
+    """
+    p = K.p
+    h = grid.h
+    u = np.abs(start)
+    u = u / seminorm_p(u, K) ** (1.0 / p)
+    mass = h * float(np.sum(u ** t))
+
+    def defect(u, R):
+        # parallel to the sphere gradient of R; scale folded into the step
+        return apply_flap(u, K) / p - R ** (t / p) * h * phi_p(u, t)
+
+    def trial(u, alpha, g):
+        v = np.abs(u - alpha * g)
+        S = seminorm_p(v, K)
+        if not S > 0.0:
+            return v, np.inf
+        v = v / S ** (1.0 / p)
+        return v, 1.0 / (h * float(np.sum(v ** t))) ** (p / t)
+
+    # S(u) = 1 after normalization
+    return bb_descent(u, 1.0 / mass ** (p / t), defect, trial, tol, cap, h)
+
+
 def first_eigenpair(K: Kernel, grid: Grid, tol: float,
                     max_iter: int | None = None) -> EigenResult:
-    """Minimize the Rayleigh quotient by projected descent from the hat profile.
+    """Minimize the Rayleigh quotient (t = p) by projected descent from the hat profile.
 
     The Euler-Lagrange residual ||apply_flap(phi)/p - lambda1 h Phi_p(phi)||_2
     / sqrt(h) is driven below tol; non-convergence within the iteration cap
@@ -73,26 +107,7 @@ def first_eigenpair(K: Kernel, grid: Grid, tol: float,
     if tol <= 0.0:
         raise UsageError("tolerance must be positive, got %g" % tol)
     cap = EIGEN_CAP_PER_NODE * K.n if max_iter is None else int(max_iter)
-    p = K.p
-    h = grid.h
-    hat = np.abs(grid.d.copy())
-    u = hat / seminorm_p(hat, K) ** (1.0 / p)
-    mass = h * float(np.sum(u ** p))
-
-    def defect(u, R):
-        # parallel to the sphere gradient of R; scale folded into the step
-        return apply_flap(u, K) / p - R * h * phi_p(u, p)
-
-    def trial(u, alpha, g):
-        v = np.abs(u - alpha * g)
-        S = seminorm_p(v, K)
-        if not S > 0.0:
-            return v, np.inf
-        v = v / S ** (1.0 / p)
-        return v, 1.0 / (h * float(np.sum(v ** p)))
-
-    # S(u) = 1 after normalization
-    u, R, residual, it, trace = bb_descent(u, 1.0 / mass, defect, trial, tol, cap, h)
+    u, R, residual, it, trace = rayleigh_minimum(K, grid, K.p, grid.d, tol, cap)
     result = EigenResult(lambda1=float(R), phi1=u, residual=residual,
                          iterations=it, trace=trace)
     if residual > tol:

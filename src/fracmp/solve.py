@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._descent import _slack, bb_descent, vector_norm
-from .eigen import rayleigh
+from .eigen import rayleigh, rayleigh_minimum
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, _stack_rows, norm_W, phi_p, seminorm_p
+from .kernel import Kernel, _stack_rows, norm_W
 from .model import (
     Problem,
     energy,
@@ -46,6 +46,8 @@ DESCENT_CAP_PER_NODE = 200
 MP_OUTER_CAP = 2000
 POLISH_CAP = 40000
 DISTINCT_REL = 1e-3
+SOBOLEV_TOL = 1e-6
+SOBOLEV_CAP_PER_NODE = 50
 _DIVERGE_VALUE = -1e14
 _DIVERGE_SUP = 1e12
 
@@ -97,59 +99,37 @@ class ScalingConstants:
         return (1.0 / (4.0 * prob.p)) * self.ring_radius(prob) ** prob.p
 
 
-def sobolev_constant(K: Kernel, grid: Grid, exponent: float, seed: int = 0) -> float:
-    """Estimate sup ||u||_t / S(u)^(1/p) for t = exponent by projected ascent.
+def sobolev_constant(K: Kernel, grid: Grid, exponent: float) -> float:
+    """sup ||u||_t / S(u)^(1/p) for t = exponent, as R^(-1/p) at the Rayleigh minimum R.
 
-    Maximizes the L^t mass on the unit sphere of the solution-space norm
-    from several deterministic and seeded starting profiles; the caller is
-    expected to inflate the estimate before using it as a certificate.
+    ``eigen.rayleigh_minimum`` runs with mass exponent t from the hat tilted
+    by 1 + 1e-4 (x - 1/2): the kernel and the hat are mirror-symmetric and
+    the projected step keeps an even iterate even, so an even start finds
+    only the best even function, and the maximizer need not be even (at
+    n = 2 it is not).  A residual above SOBOLEV_TOL after the cap raises a
+    solver error carrying the last iterate.  The caller is expected to
+    inflate the estimate before using it as a certificate.
     """
-    h = grid.h
-    t = float(exponent)
     x = (grid.nodes - grid.a) / grid.length
-    starts = [
-        grid.d / np.max(grid.d),
-        (grid.d / np.max(grid.d)) ** K.s,
-        np.exp(-0.5 * ((x - 0.5) / 0.15) ** 2),
-    ]
-    rng = np.random.default_rng(seed)
-    starts.extend(np.abs(rng.standard_normal(grid.n)) + 1e-3 for _ in range(2))
-    best = 0.0
-    for u0 in starts:
-        u = u0 / norm_W(u0, K)
-        mass = h * float(np.sum(np.abs(u) ** t))
-        alpha = None
-        for _ in range(400):
-            g = t * h * phi_p(u, t)
-            if alpha is None:
-                alpha = 0.1 / max(float(np.linalg.norm(g)), 1e-30)
-            moved = False
-            while alpha > 1e-14:
-                v = np.abs(u + alpha * g)
-                S = seminorm_p(v, K)
-                if S > 0.0:
-                    v = v / S ** (1.0 / K.p)
-                    mass_v = h * float(np.sum(np.abs(v) ** t))
-                    if mass_v > mass:
-                        u, mass = v, mass_v
-                        alpha *= 1.3
-                        moved = True
-                        break
-                alpha *= 0.5
-            if not moved:
-                break
-        best = max(best, mass ** (1.0 / t))
-    return best
+    start = grid.d * (1.0 + 1e-4 * (x - 0.5))
+    u, R, residual, it, _ = rayleigh_minimum(K, grid, float(exponent), start,
+                                             SOBOLEV_TOL, SOBOLEV_CAP_PER_NODE * K.n)
+    if residual > SOBOLEV_TOL:
+        raise SolverError("embedding constant stalled at residual %g > tol %g"
+                          % (residual, SOBOLEV_TOL),
+                          last=u, iterations=it, residual=residual)
+    return R ** (-1.0 / K.p)
 
 
-def certify_constants(prob: Problem, phi1, *, seed: int = 0) -> ScalingConstants:
+def certify_constants(prob: Problem, phi1) -> ScalingConstants:
     """Evaluate the threshold formulas with numerically certified constants.
 
     lambda1 is taken as the Rayleigh quotient of the supplied eigenfunction
     (the Poincare step of the chain is then exact for that function), the
-    embedding constant is estimated by ascent and inflated, and tau / c /
-    the two lambda thresholds follow the analysis verbatim; the second
-    threshold is capped at 1 per its statement; validate_H1 runs first.
+    embedding constant is a converged Rayleigh minimum inflated by 1.1,
+    and tau / c / the two lambda thresholds follow the analysis verbatim;
+    the second threshold is capped at 1 per its statement; validate_H1
+    runs first.
     """
     validate_H1(prob.nl, prob.p, prob.s)
     phi = as_grid_function(phi1, prob.grid.n)
@@ -164,7 +144,7 @@ def certify_constants(prob: Problem, phi1, *, seed: int = 0) -> ScalingConstants
     if cV >= lam1:
         raise PotentialGateError("c_V = %g >= lambda1 = %g" % (cV, lam1))
     A1, C1, B1 = primitive_envelope(prob.nl)
-    C = 1.1 * sobolev_constant(K, grid, q1, seed=seed)
+    C = 1.1 * sobolev_constant(K, grid, q1)
     tau = (2.0 * (1.0 - cV / lam1) / (3.0 * p * C ** q1 * B1)) ** r
     phin = phi / norm_W(phi, K)
     phi_mass = grid.h * float(np.sum(np.abs(phin) ** q1))

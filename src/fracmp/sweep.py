@@ -136,7 +136,7 @@ def certify(cfg: Config, parts, lam: float):
     eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
     validate_config(cfg, eig.lambda1, V)
     prob = make_problem(grid, kern, V, lam, nl)
-    return eig, prob, certify_constants(prob, eig.phi1, seed=cfg.seed)
+    return eig, prob, certify_constants(prob, eig.phi1)
 
 
 def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants

@@ -75,4 +75,4 @@ def prob96(grid96, kernel96, pot96, nl_f1):
 
 @pytest.fixture(scope="session")
 def consts96(prob96, eig96):
-    return certify_constants(prob96, eig96.phi1, seed=0)
+    return certify_constants(prob96, eig96.phi1)

@@ -201,7 +201,7 @@ def test_criterion_6_multiplicity(capsys, sweep_run, grid96, kernel96,
     # critical point exists above the distinctness threshold
     prob0 = make_problem(grid96, kernel96, pot96, 0.5, nl_f0)
     origin = descend(np.zeros(96), prob0, 1e-8)
-    consts0 = certify_constants(prob0, eig96.phi1, seed=0)
+    consts0 = certify_constants(prob0, eig96.phi1)
     e0, e1 = construct_endpoints(prob0, eig96.phi1, consts0)
     nontrivial = mountain_pass(prob0, e0, e1, tol=1e-6, constants=consts0)
     ok_b = (origin.tag == "local-min"

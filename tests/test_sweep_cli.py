@@ -679,7 +679,7 @@ kern = assemble_kernel(grid, 0.2, 3.0)
 prob = make_problem(grid, kern, make_potential(grid, constant=0.25), 0.5,
                     make_nonlinearity(4.0, 1.0, 3.0, 0.2))
 phi1 = first_eigenpair(kern, grid, 1e-9).phi1
-consts = certify_constants(prob, phi1, seed=0)
+consts = certify_constants(prob, phi1)
 e0, e1 = construct_endpoints(prob, phi1, consts)
 mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
 print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
@@ -696,3 +696,23 @@ def test_workload_commands_load_no_scipy(tmp_path):
     lines = run.stdout.splitlines()
     assert any(ln.startswith("saddle polish used the Newton fallback") for ln in lines)
     assert lines[-1] == "[]"
+
+
+# Run in a fresh interpreter: the test session has loaded numpy.random.
+_CERTIFY_RUN = """
+import sys
+from fracmp.config import lambdas, parse_config
+from fracmp.sweep import assemble, certify
+cfg = parse_config(sys.argv[1])
+certify(cfg, assemble(cfg), float(lambdas(cfg)[0]))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_certify_draws_no_random_numbers(config_dir):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmp.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_RUN, os.path.join(config_dir, "sweep.cfg")],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
