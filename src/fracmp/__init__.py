@@ -86,7 +86,6 @@ from .sweep import (
     derive_seed,
     export,
     fit_powerlaw,
-    load_records,
     sweep,
 )
 

@@ -62,21 +62,20 @@ def bb_descent(u: np.ndarray, value: float, gradient, trial, tol: float,
     check(u, value, residual, iterations, trace), when given, sees every
     accepted iterate and may raise to abort the run.
 
-    Returns (u, value, residual, iterations, trace); the trace holds the
-    starting value and every accepted one.  Convergence is the caller's
-    test: residual <= tol.
+    Returns (u, value, residual, iterations, trace), the residual that of
+    the returned u; the trace holds the starting value and every accepted
+    one.  Convergence is the caller's test: residual <= tol.
     """
     sqrt_h = np.sqrt(h)
     trace = [value]
     du = g_prev = alpha = None
     it = 0
-    residual = np.inf
     best_residual = np.inf
     best_it = 0
-    while it < cap:
+    while True:
         g = gradient(u, value)
         residual = float(vector_norm(g) / sqrt_h)
-        if residual <= tol:
+        if residual <= tol or it >= cap:
             break
         if residual < 0.99 * best_residual:
             best_residual = residual

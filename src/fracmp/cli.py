@@ -94,7 +94,7 @@ def cmd_eigen(cfg: Config) -> int:
     phi_path = _out_path(cfg, "phi1.txt")
     report_path = _out_path(cfg, "eigen_report.json")
     grid, kern, V, _ = assemble(cfg)
-    eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
+    eig = first_eigenpair(kern, grid, cfg.eigen_tol)
     validate_config(cfg, eig.lambda1, V)
     report = {
         "lambda1": eig.lambda1,
@@ -114,10 +114,8 @@ def cmd_torsion(cfg: Config) -> int:
     grid, kern, V, _ = assemble(cfg)
     lam1 = None
     if V.cV > 0.0:
-        lam1 = first_eigenpair(kern, grid, cfg.eigen_tol,
-                               max_iter=cfg.eigen_iter_cap).lambda1
-    tor = torsion_solve(kern, grid, V, cfg.solve_tol,
-                        max_iter=cfg.torsion_iter_cap, lambda1=lam1)
+        lam1 = first_eigenpair(kern, grid, cfg.eigen_tol).lambda1
+    tor = torsion_solve(kern, grid, V, cfg.solve_tol, lambda1=lam1)
     report = {
         "value": tor.value,
         "residual": tor.residual,
@@ -298,8 +296,7 @@ def cmd_verify(cfg: Config) -> int:
     @functools.cache
     def torsion():
         # one solve for two checks; a failure is not cached, so both report it
-        return torsion_solve(kern, grid, V, cfg.solve_tol,
-                             max_iter=cfg.torsion_iter_cap, lambda1=eig.lambda1)
+        return torsion_solve(kern, grid, V, cfg.solve_tol, lambda1=eig.lambda1)
 
     def chk_torsion():
         tor = torsion()

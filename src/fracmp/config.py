@@ -22,8 +22,7 @@ from .errors import (
 from .grid import Grid, read_gridfn
 from .model import Potential, exponent_window, make_potential
 
-_ITER_CAPS = ("eigen_iter_cap", "torsion_iter_cap", "solve_iter_cap", "mp_iter_cap")
-_INT_KEYS = {"n", "lambda_count", "path_vertices", "seed", *_ITER_CAPS}
+_INT_KEYS = {"n", "lambda_count", "path_vertices", "seed"}
 _STR_KEYS = {"V_file", "out_dir", "format"}
 _FLOAT_KEYS = {"a", "b", "s", "p", "q", "f0", "theta", "V_const",
                "lambda", "lambda_start", "lambda_stop",
@@ -67,10 +66,6 @@ class Config:
     seed: int = 0
     out_dir: str = "."
     fmt: str = "csv"
-    eigen_iter_cap: int | None = None
-    torsion_iter_cap: int | None = None
-    solve_iter_cap: int | None = None
-    mp_iter_cap: int | None = None
 
 
 def _check(cfg: Config) -> Config:
@@ -125,10 +120,6 @@ def _check(cfg: Config) -> Config:
             "8-byte values, %g GiB limit), got %d"
             % ((MAX_TABLE_BYTES // (8 * cfg.n) - 1) // 2, cfg.n,
                MAX_TABLE_BYTES / 2 ** 30, cfg.path_vertices))
-    for name in _ITER_CAPS:
-        cap = getattr(cfg, name)
-        if cap is not None and cap < 1:
-            raise ConfigurationError("%s must be >= 1, got %d" % (name, cap))
     if cfg.seed < 0:
         raise ConfigurationError("seed must be >= 0, got %d" % cfg.seed)
     return cfg

@@ -43,7 +43,7 @@ class EigenResult:
 
 @dataclass(frozen=True, eq=False)
 class TorsionResult:
-    """Minimizer of the constant-right-hand-side energy, with diagnostics."""
+    """Minimizer of the torsion energy (right-hand side 1), with diagnostics."""
 
     u: np.ndarray
     value: float
@@ -96,18 +96,17 @@ def rayleigh_minimum(K: Kernel, grid: Grid, t: float, start, tol: float, cap: in
     return bb_descent(u, 1.0 / mass ** (p / t), defect, trial, tol, cap, h)
 
 
-def first_eigenpair(K: Kernel, grid: Grid, tol: float,
-                    max_iter: int | None = None) -> EigenResult:
+def first_eigenpair(K: Kernel, grid: Grid, tol: float) -> EigenResult:
     """Minimize the Rayleigh quotient (t = p) by projected descent from the hat profile.
 
     The Euler-Lagrange residual ||apply_flap(phi)/p - lambda1 h Phi_p(phi)||_2
-    / sqrt(h) is driven below tol; non-convergence within the iteration cap
-    raises a solver error carrying the last iterate.
+    / sqrt(h) is driven below tol; non-convergence within EIGEN_CAP_PER_NODE
+    n iterations raises a solver error carrying the last iterate.
     """
     if tol <= 0.0:
         raise UsageError("tolerance must be positive, got %g" % tol)
-    cap = EIGEN_CAP_PER_NODE * K.n if max_iter is None else int(max_iter)
-    u, R, residual, it, trace = rayleigh_minimum(K, grid, K.p, grid.d, tol, cap)
+    u, R, residual, it, trace = rayleigh_minimum(K, grid, K.p, grid.d, tol,
+                                                 EIGEN_CAP_PER_NODE * K.n)
     result = EigenResult(lambda1=float(R), phi1=u, residual=residual,
                          iterations=it, trace=trace)
     if residual > tol:
@@ -146,23 +145,24 @@ def inverse_power_lambda1(K: Kernel, grid: Grid, tol: float = 1e-12) -> float:
                       iterations=INVERSE_POWER_CAP, residual=np.nan)
 
 
-def torsion_energy(u, K: Kernel, grid: Grid, V: Potential, rhs: float = 1.0) -> float:
-    """E(u) = S(u)/p + (h/p) sum V |u|^p - rhs h sum u."""
+def torsion_energy(u, K: Kernel, grid: Grid, V: Potential) -> float:
+    """E(u) = S(u)/p + (h/p) sum V |u|^p - h sum u: the right-hand side is 1."""
     v = as_grid_function(u, K.n)
-    return operator_energy(v, K, grid.h, V) - rhs * grid.h * float(np.sum(v))
+    return operator_energy(v, K, grid.h, V) - grid.h * float(np.sum(v))
 
 
-def torsion_gradient(u, K: Kernel, grid: Grid, V: Potential, rhs: float = 1.0) -> np.ndarray:
+def torsion_gradient(u, K: Kernel, grid: Grid, V: Potential) -> np.ndarray:
+    """The gradient of torsion_energy, operator_action(u) - h."""
     v = as_grid_function(u, K.n)
-    return operator_action(v, K, grid.h, V) - rhs * grid.h
+    return operator_action(v, K, grid.h, V) - grid.h
 
 
-def _torsion_start(hat: np.ndarray, K: Kernel, grid: Grid, V: Potential,
-                   rhs: float) -> tuple[float, float]:
+def _torsion_start(hat: np.ndarray, K: Kernel, grid: Grid,
+                   V: Potential) -> tuple[float, float]:
     """The t of least E(t hat) on a log scan of 25 scales, and that energy.
 
     The energy is p-homogeneous plus linear on the ray, E(t hat) = t^p A - t B
-    with A = operator_energy(hat) and B = rhs h sum(hat), so the closed form
+    with A = operator_energy(hat) and B = h sum(hat), so the closed form
     finds the least scale up to rounding, and the exact energy at it and its
     neighbours settles it as a scan of every scale would: the first least
     of the exact values, E being unimodal in t (A > 0 when c_V < lambda1).
@@ -170,23 +170,24 @@ def _torsion_start(hat: np.ndarray, K: Kernel, grid: Grid, V: Potential,
     """
     scales = np.geomspace(1e-3, 1e3, 25)
     A = operator_energy(hat, K, grid.h, V)
-    B = rhs * grid.h * float(np.sum(hat))
+    B = grid.h * float(np.sum(hat))
     near = int(np.argmin(scales ** K.p * A - scales * B))
     first = max(near - 1, 0)
-    vals = [torsion_energy(t * hat, K, grid, V, rhs) for t in scales[first:near + 2]]
+    vals = [torsion_energy(t * hat, K, grid, V) for t in scales[first:near + 2]]
     k = int(np.argmin(vals))
     return scales[first + k], vals[k]
 
 
 def torsion_solve(K: Kernel, grid: Grid, V: Potential, tol: float,
-                  rhs: float = 1.0, max_iter: int | None = None,
                   lambda1: float | None = None) -> TorsionResult:
-    """Minimize the torsion energy; the solution should be strictly positive.
+    """Minimize the torsion energy (right-hand side 1); the solution should be positive.
 
     When lambda1 is supplied the potential admissibility gate
-    c_V < lambda1 is enforced up front.  A nonpositive node at
-    convergence is flagged in the result (and logged), not raised: it
-    would contradict the theory, so the caller gets to see it.
+    c_V < lambda1 is enforced up front.  Non-convergence within
+    TORSION_CAP_PER_NODE n iterations raises a solver error carrying the
+    last iterate.  A nonpositive node at convergence is flagged in the
+    result (and logged), not raised: it would contradict the theory, so
+    the caller gets to see it.
     """
     if tol <= 0.0:
         raise UsageError("tolerance must be positive, got %g" % tol)
@@ -194,17 +195,16 @@ def torsion_solve(K: Kernel, grid: Grid, V: Potential, tol: float,
         raise PreconditionError(
             "c_V = %g >= lambda1 = %g: potential gate failed" % (V.cV, lambda1)
         )
-    cap = TORSION_CAP_PER_NODE * K.n if max_iter is None else int(max_iter)
     hat = grid.d / np.max(grid.d)
-    t, E0 = _torsion_start(hat, K, grid, V, rhs)
+    t, E0 = _torsion_start(hat, K, grid, V)
 
     def trial(u, alpha, g):
         v = u - alpha * g
-        return v, torsion_energy(v, K, grid, V, rhs)
+        return v, torsion_energy(v, K, grid, V)
 
     u, E, residual, it, trace = bb_descent(
-        t * hat, E0,
-        lambda u, _: torsion_gradient(u, K, grid, V, rhs), trial, tol, cap, grid.h)
+        t * hat, E0, lambda u, _: torsion_gradient(u, K, grid, V), trial, tol,
+        TORSION_CAP_PER_NODE * K.n, grid.h)
     positive = bool(np.min(u) > 0.0)
     result = TorsionResult(u=u, value=float(E), residual=residual,
                            iterations=it, positive=positive, trace=trace)

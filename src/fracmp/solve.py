@@ -187,16 +187,16 @@ def ring_samples(K: Kernel, radius: float, count: int, seed: int = 0) -> list[np
     return out
 
 
-def descend(u0, prob: Problem, tol: float, max_iter: int | None = None) -> CriticalPoint:
+def descend(u0, prob: Problem, tol: float) -> CriticalPoint:
     """Monotone descent of the energy to a residual-tol critical point.
 
     Divergence (the functional is unbounded below) is detected and raised
-    as a solver error carrying the last iterate, as is the iteration cap.
+    as a solver error carrying the last iterate, as is the iteration cap,
+    DESCENT_CAP_PER_NODE n.
     """
     if tol <= 0.0:
         raise UsageError("tolerance must be positive, got %g" % tol)
     n = prob.grid.n
-    cap = DESCENT_CAP_PER_NODE * n if max_iter is None else int(max_iter)
     u = as_grid_function(u0, n).copy()
 
     def point(u, E, residual, it, trace) -> CriticalPoint:
@@ -214,7 +214,7 @@ def descend(u0, prob: Problem, tol: float, max_iter: int | None = None) -> Criti
                               residual=residual)
 
     cp = point(*bb_descent(u, energy(u, prob), lambda u, _: gradient(u, prob), trial,
-                           tol, cap, prob.h, check=diverged))
+                           tol, DESCENT_CAP_PER_NODE * n, prob.h, check=diverged))
     if cp.residual > tol:
         raise SolverError("descent stalled at residual %g > tol %g" % (cp.residual, tol),
                           last=cp, iterations=cp.iterations, residual=cp.residual)
@@ -391,13 +391,11 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
 
 
 def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
-                  max_outer: int | None = None,
                   constants: ScalingConstants | None = None) -> CriticalPoint:
     """Elastic-path min-max search between e0 and e1, then saddle polish.
 
-    max_outer caps the path-descent iterations; None means the default,
-    MP_OUTER_CAP = 2000.  The point's tag is "unknown": nothing here
-    certifies its Morse type.
+    MP_OUTER_CAP caps the path-descent iterations.  The point's tag is
+    "unknown": nothing here certifies its Morse type.
     """
     if P < 8:
         raise UsageError("path needs at least 8 segments, got P=%d" % P)
@@ -437,7 +435,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
     stall = 0
     res_max = np.inf
     outer = 0
-    for outer in range(MP_OUTER_CAP if max_outer is None else int(max_outer)):
+    for outer in range(MP_OUTER_CAP):
         G = gradient(path[1:P], prob)
         evals += P - 1
         kmax = int(np.argmax(Jf[0::2]))
@@ -711,8 +709,7 @@ def distinct(u, v) -> bool:
 
 
 def find_second_solution(prob: Problem, first: CriticalPoint, tol: float,
-                         e1=None, seed: int = 0,
-                         max_iter: int | None = None) -> CriticalPoint | None:
+                         e1=None, seed: int = 0) -> CriticalPoint | None:
     """Search for a critical point distinct from first; None when not found.
 
     Strategies, in order: descend from small starts adjacent to the origin
@@ -743,7 +740,7 @@ def find_second_solution(prob: Problem, first: CriticalPoint, tol: float,
     trivial_zero = f_eval(0.0, prob.nl) == 0.0
     for idx, u0 in enumerate(starts):
         try:
-            cand = descend(u0, prob, tol, max_iter=max_iter)
+            cand = descend(u0, prob, tol)
         except SolverError as exc:
             log.debug("second-solution start %d failed: %s", idx, exc)
             continue

@@ -7,7 +7,8 @@ runs at its one lambda), recording norms, the energy value and whether
 lambda lies in the certified window.  The lambdas are independent rows,
 solved in worker processes when more than one CPU is usable
 (_row_workers).  Scaling exponents are recovered by ordinary least squares
-on the log-log data.
+on the log-log data.  ``export`` writes the records as a CSV or JSON
+table; nothing in the package reads a table back.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import kernel
 from .config import Config, lambdas, load_potential, validate_config
 from .eigen import first_eigenpair
-from .errors import ConfigurationError, ExportError, FracmpError, UsageError
+from .errors import ExportError, FracmpError, UsageError
 from .grid import build_grid
 from .kernel import assemble_kernel, norm_W
 from .model import Problem, make_nonlinearity, make_problem
@@ -36,8 +37,6 @@ from .solve import (
 )
 
 CSV_HEADER = "lambda,norm_W,norm_inf,energy,residual,positive,distinct_count,in_window"
-# A field's JSON types, the last its CSV type; a field not named is a number.
-_FIELD_TYPES = {"positive": (bool,), "in_window": (bool,), "distinct_count": (int,)}
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ def certify(cfg: Config, parts, lam: float):
     parts is assemble(cfg); returns (eigenpair, problem at lam, constants).
     """
     grid, kern, V, nl = parts
-    eig = first_eigenpair(kern, grid, cfg.eigen_tol, max_iter=cfg.eigen_iter_cap)
+    eig = first_eigenpair(kern, grid, cfg.eigen_tol)
     validate_config(cfg, eig.lambda1, V)
     prob = make_problem(grid, kern, V, lam, nl)
     return eig, prob, certify_constants(prob, eig.phi1)
@@ -144,7 +143,7 @@ def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants
     """Mountain pass at the lambda of prob: (critical point, e1)."""
     e0, e1 = construct_endpoints(prob, phi1, consts)
     cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
-                       max_outer=cfg.mp_iter_cap, constants=consts)
+                       constants=consts)
     return cp, e1
 
 
@@ -153,8 +152,7 @@ def solve_lambda(cfg: Config, prob: Problem, phi1, consts: ScalingConstants,
     """Mountain pass, then the second-solution search: (first, second or None)."""
     cp, e1 = first_solution(cfg, prob, phi1, consts)
     second = find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
-                                  seed=derive_seed(cfg.seed, index) + 1,
-                                  max_iter=cfg.solve_iter_cap)
+                                  seed=derive_seed(cfg.seed, index) + 1)
     return cp, second
 
 
@@ -297,52 +295,3 @@ def export(records, fmt: str, path: str) -> None:
             fh.write(payload)
     except OSError as exc:
         raise ExportError("cannot write (%s)" % exc.strerror, path) from exc
-
-
-def load_records(path: str) -> list[dict]:
-    """Read an exported table back as dicts keyed by the CSV field names.
-
-    A path ending in .json is read as JSON, any other as CSV; either way a
-    field has its CSV type.  A table that is not UTF-8, not in the export
-    layout or with a field of another type is a ConfigurationError.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ExportError("cannot read (%s)" % exc.strerror, path) from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError("%s: not UTF-8 (%s)" % (path, exc)) from exc
-    fields = CSV_HEADER.split(",")
-    if path.endswith(".json"):
-        try:
-            records = [{k: rec[k] for k in fields} for rec in json.loads(text)["records"]]
-        except (ValueError, LookupError, TypeError) as exc:
-            raise ConfigurationError("%s: not a JSON sweep table (%s: %s)"
-                                     % (path, type(exc).__name__, exc)) from exc
-        for rec in records:
-            for key, value in rec.items():
-                kinds = _FIELD_TYPES.get(key, (int, float))
-                if type(value) not in kinds:  # type(True) is bool, not int
-                    raise ConfigurationError("%s: bad %s value %r" % (path, key, value))
-                rec[key] = kinds[-1](value)
-        return records
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigurationError("%s: missing or wrong CSV header" % path)
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(fields):
-            raise ConfigurationError("%s: bad CSV row %r" % (path, ln))
-        rec: dict = {}
-        try:
-            for key, part in zip(fields, parts):
-                kind = _FIELD_TYPES.get(key, (int, float))[-1]
-                if kind is bool and part not in ("true", "false"):
-                    raise ValueError("%s is neither true nor false" % key)
-                rec[key] = part == "true" if kind is bool else kind(part)
-        except ValueError as exc:
-            raise ConfigurationError("%s: bad CSV row %r (%s)" % (path, ln, exc)) from exc
-        out.append(rec)
-    return out

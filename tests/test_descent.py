@@ -46,7 +46,8 @@ def test_stops_at_cap():
     u, value, residual, it, trace = bb_descent(u0, _quadratic(u0), _gradient, _step,
                                                1e-10, 3, H)
     assert it == 3 and len(trace) == 4
-    assert residual > 1e-10
+    # the residual is that of the returned iterate
+    assert residual == np.linalg.norm(A * u - B) / np.sqrt(H) > 1e-10
     assert value == _quadratic(u) < 0.0
 
 

@@ -9,23 +9,26 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+import fracmp.eigen
 from fracmp import (
     PreconditionError,
     SolverError,
     TorsionResult,
     UsageError,
+    apply_flap,
     assemble_kernel,
     build_grid,
     first_eigenpair,
     inverse_power_lambda1,
     make_potential,
     norm_W,
+    phi_p,
     quadratic_form_matrix,
     rayleigh,
     seminorm_p,
     torsion_solve,
 )
-from fracmp.eigen import _torsion_start, torsion_energy
+from fracmp.eigen import _torsion_start, rayleigh_minimum, torsion_energy, torsion_gradient
 
 # dense-eigh oracle values for (0,1), s = 0.4, p = 2
 LAMBDA1_N100 = 12.979816425792386
@@ -162,25 +165,50 @@ def test_torsion_below_p2():
     assert tor.residual <= 1e-6
 
 
-def test_first_eigenpair_iteration_cap():
+def _defect_norm(defect, g):
+    return float(np.linalg.norm(defect) / np.sqrt(g.h))
+
+
+def test_first_eigenpair_iteration_cap(monkeypatch):
+    # three steps: the error carries the last iterate and that iterate's residual
     g = build_grid(0.0, 1.0, 60)
     K = assemble_kernel(g, 0.4, 2.0)
+    monkeypatch.setattr(fracmp.eigen, "EIGEN_CAP_PER_NODE", 3 / 60)
     with pytest.raises(SolverError) as err:
-        first_eigenpair(K, g, 1e-13, max_iter=3)
-    assert err.value.last is not None
-    assert err.value.iterations == 3
+        first_eigenpair(K, g, 1e-13)
+    last = err.value.last
+    assert err.value.iterations == last.iterations == 3
+    defect = apply_flap(last.phi1, K) / 2.0 - last.lambda1 * g.h * phi_p(last.phi1, 2.0)
+    assert err.value.residual == pytest.approx(_defect_norm(defect, g), rel=1e-12)
+    assert err.value.residual > 1e-13
 
 
-def test_torsion_iteration_cap():
+def test_torsion_iteration_cap(monkeypatch):
     # the stalled iterate travels with the error, its residual the error's
     g = build_grid(0.0, 1.0, 60)
     K = assemble_kernel(g, 0.4, 2.0)
+    V = make_potential(g, constant=0.5)
+    monkeypatch.setattr(fracmp.eigen, "TORSION_CAP_PER_NODE", 3 / 60)
     with pytest.raises(SolverError) as err:
-        torsion_solve(K, g, make_potential(g, constant=0.5), 1e-13, max_iter=3)
+        torsion_solve(K, g, V, 1e-13)
     last = err.value.last
     assert isinstance(last, TorsionResult)
     assert last.residual == err.value.residual > 1e-13
-    assert last.iterations == err.value.iterations
+    assert last.iterations == err.value.iterations == 3
+    assert last.residual == pytest.approx(
+        _defect_norm(torsion_gradient(last.u, K, g, V), g), rel=1e-12)
+
+
+def test_rayleigh_minimum_at_cap_reports_its_iterate():
+    # a run cut by its cap returns the residual of the u it returns, not of
+    # the iterate before the last step
+    g = build_grid(0.0, 1.0, 96)
+    K = assemble_kernel(g, 0.4, 2.0)
+    t = 4.0
+    u, R, residual, it, _ = rayleigh_minimum(K, g, t, g.d, 1e-12, 10)
+    assert it == 10
+    defect = apply_flap(u, K) / 2.0 - R ** (t / 2.0) * g.h * phi_p(u, t)
+    assert residual == pytest.approx(_defect_norm(defect, g), rel=1e-12)
 
 
 def test_torsion_symmetric_for_zero_potential():
@@ -202,17 +230,8 @@ def test_torsion_positive_and_monotone_trace():
     assert np.all(drops <= 1e-12 * (1.0 + np.abs(tor.trace[:-1])))
 
 
-def test_torsion_linearity_at_p_two():
-    g = build_grid(0.0, 1.0, 64)
-    K = assemble_kernel(g, 0.4, 2.0)
-    V = make_potential(g, constant=0.5)
-    one = torsion_solve(K, g, V, 1e-9, rhs=1.0)
-    two = torsion_solve(K, g, V, 1e-9, rhs=2.0)
-    np.testing.assert_allclose(two.u, 2.0 * one.u, atol=1e-6)
-
-
 def test_torsion_against_dense_linear_solve():
-    # p = 2 stationarity is (G + h diag(V)) u = rhs * h * 1
+    # p = 2 stationarity is (G + h diag(V)) u = h * 1
     g = build_grid(0.0, 1.0, 64)
     K = assemble_kernel(g, 0.4, 2.0)
     V = make_potential(g, constant=0.5)
@@ -231,21 +250,19 @@ def test_torsion_start_matches_the_full_scan():
 
     @hyp.settings(max_examples=40, deadline=None)
     @hyp.given(st.integers(2, 64), st.floats(2.0, 4.0), st.floats(0.05, 0.95),
-               st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.95), st.sampled_from((1.0, -1.0)),
-               st.floats(0.01, 100.0))
-    def check(n, p, s_frac, seed, neg, sign, size):
+               st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.95))
+    def check(n, p, s_frac, seed, neg):
         g = build_grid(0.0, 1.0, n)
         K = assemble_kernel(g, s_frac / p, p)
         # lambda1 >= 2 min(tail), as S(u) >= 2 h sum t |u|^p: the negative
         # part of V stays below lambda1
         low = -neg * 2.0 * float(np.min(K.tail))
         V = make_potential(g, values=np.random.default_rng(seed).uniform(low, 1.0, n))
-        rhs = sign * size
         hat = g.d / np.max(g.d)
         scales = np.geomspace(1e-3, 1e3, 25)
-        vals = [torsion_energy(t * hat, K, g, V, rhs) for t in scales]
+        vals = [torsion_energy(t * hat, K, g, V) for t in scales]
         best = int(np.argmin(vals))
-        t, value = _torsion_start(hat, K, g, V, rhs)
+        t, value = _torsion_start(hat, K, g, V)
         assert t == scales[best]
         assert np.float64(value).tobytes() == np.float64(vals[best]).tobytes()
 

@@ -5,6 +5,7 @@ driver is checked only through its preconditions and plumbing, and the
 CLI through in-process main() calls on small instances.
 """
 
+import csv
 import importlib
 import json
 import math
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 import fracmp.cli
+import fracmp.eigen
+import fracmp.solve
 from fracmp import (
     CSV_HEADER,
-    ConfigurationError,
     ExportError,
     ScalingConstants,
     SolverError,
@@ -28,7 +30,6 @@ from fracmp import (
     derive_seed,
     export,
     fit_powerlaw,
-    load_records,
     parse_config,
     read_gridfn,
     sweep,
@@ -111,6 +112,12 @@ def _records():
     ]
 
 
+def _csv_rows(path):
+    """The data rows of an exported CSV table, as dicts of field text."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+
+
 def test_export_csv_round_trip(tmp_path):
     path = str(tmp_path / "sweep.csv")
     export(_records(), "csv", path)
@@ -118,13 +125,13 @@ def test_export_csv_round_trip(tmp_path):
     assert lines[0].startswith("# generated ")
     assert lines[1] == CSV_HEADER
     assert len(lines) == 4
-    back = load_records(path)
+    back = _csv_rows(path)
     assert len(back) == 2
-    assert back[0]["lambda"] == 0.1
-    assert back[0]["norm_W"] == 12.345678901234567  # 17 digits survive
-    assert back[0]["positive"] is True and back[0]["in_window"] is True
-    assert back[1]["positive"] is False and back[1]["in_window"] is False
-    assert back[1]["distinct_count"] == 1
+    assert float(back[0]["lambda"]) == 0.1
+    assert float(back[0]["norm_W"]) == 12.345678901234567  # 17 digits survive
+    assert back[0]["positive"] == back[0]["in_window"] == "true"
+    assert back[1]["positive"] == back[1]["in_window"] == "false"
+    assert back[1]["distinct_count"] == "1"
 
 
 def test_export_json_round_trip(tmp_path):
@@ -132,9 +139,12 @@ def test_export_json_round_trip(tmp_path):
     export(_records(), "json", path)
     body = json.loads(Path(path).read_text())
     assert "generated" in body and len(body["records"]) == 2
-    back = load_records(path)
+    back = body["records"]
+    assert all(list(rec) == CSV_HEADER.split(",") for rec in back)
+    assert back[0]["norm_W"] == 12.345678901234567
     assert back[0]["energy"] == -1.5e-3
-    assert back[1]["in_window"] is False
+    assert back[0]["positive"] is True and back[1]["in_window"] is False
+    assert back[1]["distinct_count"] == 1
 
 
 def test_export_empty_is_header_only(tmp_path):
@@ -142,7 +152,7 @@ def test_export_empty_is_header_only(tmp_path):
     export([], "csv", path)
     lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
     assert lines == [CSV_HEADER]
-    assert load_records(path) == []
+    assert _csv_rows(path) == []
 
 
 def test_export_bad_directory(tmp_path):
@@ -153,67 +163,9 @@ def test_export_bad_directory(tmp_path):
     assert str(err.value).count(target) == 1
 
 
-def test_load_records_missing_file_names_path_once(tmp_path):
-    target = str(tmp_path / "absent.csv")
-    with pytest.raises(ExportError) as err:
-        load_records(target)
-    assert err.value.path == target
-    assert str(err.value).count(target) == 1
-
-
 def test_export_bad_format(tmp_path):
     with pytest.raises(UsageError):
         export(_records(), "xml", str(tmp_path / "x.xml"))
-
-
-def test_load_records_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("lambda,oops\n1,2\n")
-    with pytest.raises(ConfigurationError):
-        load_records(str(path))
-
-
-@pytest.mark.parametrize("name, body", [
-    ("t.json", b"not json"),
-    ("t.json", json.dumps({"records": [{"lambda": 0.1}]}).encode()),
-    ("t.csv", (CSV_HEADER + "\n0.1,x,1,1,1,true,1,true\n").encode()),
-    ("t.csv", b"\xff" + CSV_HEADER.encode() + b"\n"),
-    ("t.csv", (CSV_HEADER + "\n0.1,1,1,1,1,yes,1,true\n").encode()),
-    ("t.csv", (CSV_HEADER + "\n0.1,1,1,1,1,true,1,TRUE\n").encode()),
-], ids=["not-json", "missing-field", "non-numeric", "not-utf8", "bool-yes", "bool-TRUE"])
-def test_load_records_malformed_table_names_path(tmp_path, name, body):
-    path = tmp_path / name
-    path.write_bytes(body)
-    with pytest.raises(ConfigurationError) as err:
-        load_records(str(path))
-    assert str(path) in str(err.value)
-
-
-def _json_table(tmp_path, **fields):
-    rec = {"lambda": 0.1, "norm_W": 1, "norm_inf": 2.0, "energy": -1.5e-3,
-           "residual": 1e-7, "positive": True, "distinct_count": 2, "in_window": False}
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({"generated": "now", "records": [{**rec, **fields}]}))
-    return str(path)
-
-
-def test_load_records_json_fields_have_csv_types(tmp_path):
-    back = load_records(_json_table(tmp_path))
-    assert back == [{"lambda": 0.1, "norm_W": 1.0, "norm_inf": 2.0, "energy": -1.5e-3,
-                     "residual": 1e-7, "positive": True, "distinct_count": 2,
-                     "in_window": False}]
-    assert type(back[0]["norm_W"]) is float and type(back[0]["distinct_count"]) is int
-
-
-@pytest.mark.parametrize("field, value", [
-    ("lambda", "abc"), ("energy", None), ("residual", True), ("positive", "yes"),
-    ("in_window", 1), ("distinct_count", 2.5), ("distinct_count", False),
-])
-def test_load_records_json_rejects_wrong_field_type(tmp_path, field, value):
-    path = _json_table(tmp_path, **{field: value})
-    with pytest.raises(ConfigurationError) as err:
-        load_records(path)
-    assert path in str(err.value) and field in str(err.value)
 
 
 def test_sweep_needs_enough_points(tmp_path):
@@ -328,16 +280,15 @@ def test_cli_lambda_count_over_memory_limit_exits_2(tmp_path, capsys, monkeypatc
     assert "lambda_count must be <=" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [0, -3])
 @pytest.mark.parametrize("cap", ["eigen_iter_cap", "torsion_iter_cap",
                                  "solve_iter_cap", "mp_iter_cap"])
-def test_cli_iteration_cap_below_one_exits_2(tmp_path, capsys, monkeypatch, cap, value):
-    # a config problem, found before any solve; a cap of 1 is accepted
+def test_cli_iteration_cap_key_exits_2(tmp_path, capsys, monkeypatch, cap):
+    # the iteration caps are constants of the solvers, not config keys: a
+    # config problem, found before any solve
     _no_solver(monkeypatch)
-    path = _write(tmp_path, SMALL + "%s = %d\n" % (cap, value))
+    path = _write(tmp_path, SMALL + "%s = 1\n" % cap)
     assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
-    assert "%s must be >= 1, got %d" % (cap, value) in capsys.readouterr().err
-    assert getattr(parse_config(_write(tmp_path, SMALL + "%s = 1\n" % cap)), cap) == 1
+    assert "unknown key %r" % cap in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["config", "V_file", "ref"])
@@ -355,9 +306,12 @@ def test_cli_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch, bad):
 
 @pytest.mark.parametrize("line, message", [
     ("theta = 4.5", "error: deficit unbounded below"),  # HypothesisError: q + 1 = 4
-    ("eigen_iter_cap = 2", "error: eigen solver stalled"),  # SolverError
+    pytest.param("", "error: eigen solver stalled", id="eigen-cap-2"),  # SolverError
 ])
-def test_cli_hypothesis_or_solver_failure_exits_1(tmp_path, capsys, line, message):
+def test_cli_hypothesis_or_solver_failure_exits_1(tmp_path, capsys, monkeypatch, line,
+                                                  message):
+    # two eigen steps at n = 32 stall the eigen solve; theta fails before it
+    monkeypatch.setattr(fracmp.eigen, "EIGEN_CAP_PER_NODE", 2 / 32)
     out = str(tmp_path / "out")
     assert main(["eigen", _write(tmp_path, SMALL + line + "\n"), "--out", out]) == 1
     assert capsys.readouterr().err.startswith(message)
@@ -458,10 +412,11 @@ def test_cli_verify_kernel_check_finds_a_negative_weight(tmp_path, capsys, monke
             "finite and non-negative") in capsys.readouterr().out.splitlines()
 
 
-def test_cli_verify_reports_stalled_eigenpair(tmp_path, capsys):
+def test_cli_verify_reports_stalled_eigenpair(tmp_path, capsys, monkeypatch):
     # the eigenpair is a check like the others: its failure is reported,
     # the checks built on it are skipped, and the suite runs to its summary
-    assert main(["verify", _write(tmp_path, SMALL + "eigen_iter_cap = 2\n")]) == 1
+    monkeypatch.setattr(fracmp.eigen, "EIGEN_CAP_PER_NODE", 2 / 32)
+    assert main(["verify", _write(tmp_path, SMALL)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(ln.startswith("FAIL first eigenpair: SolverError: eigen solver stalled")
                for ln in lines)
@@ -536,10 +491,11 @@ def test_cli_sweep_failed_rows(tmp_path, capsys, monkeypatch):
     assert main(["sweep", _write(tmp_path, SMALL_SWEEP), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "lambda=%.6g: FAILED (SolverError: mountain pass stalled)" % SWEEP_LAMS[1]
-    rows = load_records(str(out / "sweep.csv"))
-    assert all(math.isnan(rows[1][k]) for k in ("norm_W", "norm_inf", "energy", "residual"))
-    assert rows[1]["distinct_count"] == 0 and rows[1]["positive"] is False
-    assert all(r["distinct_count"] >= 1 for i, r in enumerate(rows) if i != 1)
+    rows = _csv_rows(out / "sweep.csv")
+    assert all(math.isnan(float(rows[1][k]))
+               for k in ("norm_W", "norm_inf", "energy", "residual"))
+    assert rows[1]["distinct_count"] == "0" and rows[1]["positive"] == "false"
+    assert all(int(r["distinct_count"]) >= 1 for i, r in enumerate(rows) if i != 1)
 
 
 def test_cli_sweep_every_row_failed_exits_1(tmp_path, capsys, monkeypatch):
@@ -549,7 +505,7 @@ def test_cli_sweep_every_row_failed_exits_1(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert sum(ln.endswith(": FAILED (SolverError: mountain pass stalled)")
                for ln in lines) == 4
-    assert [r["distinct_count"] for r in load_records(str(out / "sweep.csv"))] == [0] * 4
+    assert [r["distinct_count"] for r in _csv_rows(out / "sweep.csv")] == ["0"] * 4
 
 
 def _cli_sweep(tmp_path, capsys, monkeypatch, cpus):
@@ -565,11 +521,11 @@ def _cli_sweep(tmp_path, capsys, monkeypatch, cpus):
     out = tmp_path / ("out%d" % cpus)
     main(["sweep", _write(tmp_path, SMALL_SWEEP), "--out", str(out)])
     stdout = capsys.readouterr().out.replace(str(out), "OUT")
-    csv = [ln for ln in (out / "sweep.csv").read_text().splitlines()
-           if not ln.startswith("#")]
+    rows = [ln for ln in (out / "sweep.csv").read_text().splitlines()
+            if not ln.startswith("#")]
     solutions = [(lam, [None if cp is None else cp.u.tobytes() for cp in pair])
                  for lam, *pair in results[0].solutions]
-    return results[0].records, csv, stdout, solutions
+    return results[0].records, rows, stdout, solutions
 
 
 @pytest.mark.parametrize("failing", [None, 1], ids=["all-rows-solve", "one-row-fails"])
@@ -643,17 +599,24 @@ def test_row_workers(monkeypatch, cpus, n, workers):
 
 
 def test_cli_verify_mountain_pass_honours_cap(tmp_path, capsys, monkeypatch):
-    # verify's mountain pass is the one solve and sweep run, cap included
-    caps = []
+    # verify's mountain pass is the one solve and sweep run, cap included:
+    # at most MP_OUTER_CAP path steps, each one recorded level after the first
+    levels = []
     real = sweep_module.mountain_pass
 
     def spy(*args, **kwargs):
-        caps.append(kwargs.get("max_outer"))
-        return real(*args, **kwargs)
+        try:
+            cp = real(*args, **kwargs)
+        except SolverError as exc:
+            levels.append(len(exc.last.trace))
+            raise
+        levels.append(len(cp.trace))
+        return cp
 
     monkeypatch.setattr(sweep_module, "mountain_pass", spy)
-    main(["verify", _write(tmp_path, SMALL + "mp_iter_cap = 3\n")])
-    assert caps == [3]
+    monkeypatch.setattr(fracmp.solve, "MP_OUTER_CAP", 3)
+    main(["verify", _write(tmp_path, SMALL)])
+    assert levels == [1 + 3]
     assert "mountain pass" in capsys.readouterr().out
 
 
@@ -666,6 +629,8 @@ import logging
 import sys
 import fracmp
 import fracmp.cli
+import fracmp.eigen
+import fracmp.solve
 from fracmp import (assemble_kernel, build_grid, certify_constants, construct_endpoints,
                     first_eigenpair, make_nonlinearity, make_potential, make_problem,
                     mountain_pass)

@@ -92,8 +92,7 @@ def phases(n: int) -> dict:
     t2 = time.perf_counter()
     # the seed solve_lambda hands the search for the first lambda
     second = solve.find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
-                                        seed=derive_seed(cfg.seed, 0) + 1,
-                                        max_iter=cfg.solve_iter_cap)
+                                        seed=derive_seed(cfg.seed, 0) + 1)
     t3 = time.perf_counter()
     return {"certify": t1 - t0, "mp": t2 - t1, "polish": sum(polish),
             "second": t3 - t2, "mp_eig": _lowest(cp.u, prob),
