@@ -1,4 +1,4 @@
-"""Power-law fitting, table export/reload, seed derivation, and the CLI.
+"""Power-law fitting, table export, seed derivation, and the CLI.
 
 The full six-point sweep lives in the acceptance module; here the sweep
 driver is checked only through its preconditions and plumbing, and the
