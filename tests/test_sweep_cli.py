@@ -280,15 +280,17 @@ def test_cli_lambda_count_over_memory_limit_exits_2(tmp_path, capsys, monkeypatc
     assert "lambda_count must be <=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0, -3])
 @pytest.mark.parametrize("cap", ["eigen_iter_cap", "torsion_iter_cap",
                                  "solve_iter_cap", "mp_iter_cap"])
-def test_cli_iteration_cap_key_exits_2(tmp_path, capsys, monkeypatch, cap):
+def test_cli_iteration_cap_below_one_exits_2(tmp_path, capsys, monkeypatch, cap, value):
     # the iteration caps are constants of the solvers, not config keys: a
-    # config problem, found before any solve
+    # config problem, found before any solve, whatever the value, 1 included
     _no_solver(monkeypatch)
-    path = _write(tmp_path, SMALL + "%s = 1\n" % cap)
-    assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
-    assert "unknown key %r" % cap in capsys.readouterr().err
+    for v in (value, 1):
+        path = _write(tmp_path, SMALL + "%s = %d\n" % (cap, v))
+        assert main(["eigen", path, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key %r" % cap in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["config", "V_file", "ref"])
