@@ -83,7 +83,6 @@ from .sweep import (
     FitSummary,
     SweepRecord,
     SweepResult,
-    derive_seed,
     export,
     fit_powerlaw,
     sweep,

@@ -264,19 +264,35 @@ def _reparametrize(path: np.ndarray, J: np.ndarray) -> np.ndarray:
     total = cum[-1]
     if total == 0.0:
         return path
-    targets = np.linspace(0.0, total, P + 1)
-    out = np.empty_like(path)
-    out[0] = path[0]
-    out[P] = path[P]
-    k = 0
-    for j in range(1, P):
-        t = targets[j]
-        while k < P - 1 and cum[k + 1] < t:
-            k += 1
-        width = cum[k + 1] - cum[k]
-        frac = 0.0 if width == 0.0 else (t - cum[k]) / width
-        out[j] = path[k] + frac * (path[k + 1] - path[k])
+    t = np.linspace(0.0, total, P + 1)[1:P]
+    # interior target j lies on segment k, the first one whose end reaches it
+    k = np.minimum(np.searchsorted(cum[1:], t), P - 1)
+    width = cum[k + 1] - cum[k]
+    frac = np.divide(t - cum[k], width, out=np.zeros(P - 1), where=width != 0.0)
+    out = path.copy()
+    out[1:P] = path[k] + frac[:, None] * (path[k + 1] - path[k])
     return out
+
+
+def _path_forces(path: np.ndarray, G: np.ndarray, k_int: int) -> np.ndarray:
+    """Projected forces on the interior vertices 1..P-1; G holds their gradients.
+
+    Transverse descent for ordinary vertices, reversed tangential component
+    for vertex k_int so it climbs toward the saddle; without the projection
+    the tangential force drags vertices off the ridge and the discrete path
+    loses the crossing.  Vertex k's tangent is path[k+1] - path[k-1]; where
+    its norm is 0 the force is -G.  Each stacked product is the dot product
+    of its one vector pair, so a row is the bytes of its vertex alone.
+    """
+    T = path[2:] - path[:-2]
+    nt = np.sqrt((T[:, None, :] @ T[:, :, None])[:, 0, 0])
+    zero = nt == 0.0
+    t_hat = T / np.where(zero, 1.0, nt)[:, None]
+    g_t = (G[:, None, :] @ t_hat[:, :, None])[:, 0, 0]
+    g_t[k_int - 1] *= 2.0
+    F = -(G - g_t[:, None] * t_hat)
+    F[zero] = -G[zero]
+    return F
 
 
 def _refine_maximizer(path: np.ndarray, J: np.ndarray, kmax: int,
@@ -443,24 +459,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
         res_max = float(vector_norm(G[k_int - 1]) / np.sqrt(prob.h))
         if res_max <= tol:
             break
-        # transverse descent for ordinary vertices, reversed tangential
-        # component for the max vertex so it climbs toward the saddle;
-        # without the projection the tangential force drags vertices off
-        # the ridge and the discrete path loses the crossing
-        F = np.empty_like(G)
-        for k in range(1, P):
-            t_vec = path[k + 1] - path[k - 1]
-            nt = vector_norm(t_vec)
-            g_k = G[k - 1]
-            if nt == 0.0:
-                F[k - 1] = -g_k
-                continue
-            t_hat = t_vec / nt
-            g_t = float(g_k @ t_hat)
-            if k == k_int:
-                F[k - 1] = -(g_k - 2.0 * g_t * t_hat)
-            else:
-                F[k - 1] = -(g_k - g_t * t_hat)
+        F = _path_forces(path, G, k_int)
         if alpha is None:
             gs = float(np.max(np.linalg.norm(G, axis=1)))
             alpha = 0.05 * sep / max(gs, 1e-30)
@@ -709,35 +708,27 @@ def distinct(u, v) -> bool:
 
 
 def find_second_solution(prob: Problem, first: CriticalPoint, tol: float,
-                         e1=None, seed: int = 0) -> CriticalPoint | None:
+                         e1=None) -> CriticalPoint | None:
     """Search for a critical point distinct from first; None when not found.
 
-    Strategies, in order: descend from small starts adjacent to the origin
-    (the f(0) != 0 case has a nearby local minimizer), descend from beyond
-    the far endpoint (guarded: the functional is unbounded below there),
-    and descend from scaled perturbations of the first solution.  Absence
-    is a report, not an error.
+    Strategies, in order: descend from the origin (the f(0) != 0 case has a
+    nearby local minimizer), descend from beyond the far endpoint (guarded:
+    the functional is unbounded below there), and descend from scaled
+    copies of the first solution.  Absence is a report, not an error.
     """
     if not np.isfinite(first.residual):
         raise UsageError("first critical point must be converged")
     n = prob.grid.n
-    hat = prob.grid.d / np.max(prob.grid.d)
-    hatn = hat / norm_W(hat, prob.kernel)
-    ref_norm = norm_W(first.u, prob.kernel) if np.any(first.u) else 1.0
-    rng = np.random.default_rng(seed)
+    trivial_zero = f_eval(0.0, prob.nl) == 0.0
 
     starts: list[np.ndarray] = []
-    if f_eval(0.0, prob.nl) != 0.0:
+    if not trivial_zero:
         starts.append(np.zeros(n))
-        for frac in (1e-3, 1e-2, 1e-1):
-            jitter = 1.0 + 0.05 * rng.standard_normal(n)
-            starts.append(frac * ref_norm * hatn * jitter)
     if e1 is not None:
         starts.append(1.5 * as_grid_function(e1, n))
     starts.append(0.5 * first.u)
     starts.append(1.5 * first.u)
 
-    trivial_zero = f_eval(0.0, prob.nl) == 0.0
     for idx, u0 in enumerate(starts):
         try:
             cand = descend(u0, prob, tol)

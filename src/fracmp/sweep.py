@@ -82,11 +82,6 @@ class SweepResult:
     solutions: list
 
 
-def derive_seed(base: int, index: int) -> int:
-    """Per-lambda child seed: deterministic in (base seed, lambda index)."""
-    return int(np.random.SeedSequence([int(base), int(index)]).generate_state(1)[0])
-
-
 def fit_powerlaw(pairs) -> tuple[float, float, float]:
     """OLS fit of log(value) = slope*log(lam) + intercept; returns R^2 too."""
     arr = np.asarray(list(pairs), dtype=float)
@@ -147,28 +142,25 @@ def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants
     return cp, e1
 
 
-def solve_lambda(cfg: Config, prob: Problem, phi1, consts: ScalingConstants,
-                 index: int = 0) -> tuple[CriticalPoint, CriticalPoint | None]:
+def solve_lambda(cfg: Config, prob: Problem, phi1, consts: ScalingConstants
+                 ) -> tuple[CriticalPoint, CriticalPoint | None]:
     """Mountain pass, then the second-solution search: (first, second or None)."""
     cp, e1 = first_solution(cfg, prob, phi1, consts)
-    second = find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
-                                  seed=derive_seed(cfg.seed, index) + 1)
-    return cp, second
+    return cp, find_second_solution(prob, cp, cfg.solve_tol, e1=e1)
 
 
-def _sweep_row(cfg: Config, parts, phi1, consts: ScalingConstants, item):
-    """Row i of the sweep, item = (i, lam): (record, (lam, first, second)).
+def _sweep_row(cfg: Config, parts, phi1, consts: ScalingConstants, lam):
+    """The sweep's row at lam: (record, (lam, first, second)).
 
     A FracmpError makes a failed record, with no solutions, that names the
     error's class; any other error propagates.
     """
-    i, lam = item
     lam = float(lam)
     grid, kern, V, nl = parts
     in_window = lam < consts.lam3
     try:
         prob = make_problem(grid, kern, V, lam, nl)
-        cp, second = solve_lambda(cfg, prob, phi1, consts, i)
+        cp, second = solve_lambda(cfg, prob, phi1, consts)
         rec = SweepRecord(
             lam=lam,
             norm_W=norm_W(cp.u, kern),
@@ -203,10 +195,10 @@ def _row_workers(rows: int, n: int) -> int:
 def sweep(cfg: Config, progress=None) -> SweepResult:
     """Run the full lambda sweep described by a validated config.
 
-    The rows are independent (each seeded by its index), so they may run in
-    worker processes (_row_workers); they come back in lambda order, and
-    every row is the same bytes either way.  progress(record) is called in
-    this process, in lambda order.
+    The rows are independent (each depends on its lambda alone), so they
+    may run in worker processes (_row_workers); they come back in lambda
+    order, and every row is the same bytes either way.  progress(record)
+    is called in this process, in lambda order.
     """
     lams = lambdas(cfg)
     if len(lams) < 4:
@@ -231,7 +223,7 @@ def sweep(cfg: Config, progress=None) -> SweepResult:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        for rec, sol in (pool.map if pool else map)(row, enumerate(lams)):
+        for rec, sol in (pool.map if pool else map)(row, lams):
             records.append(rec)
             solutions.append(sol)
             if progress is not None:

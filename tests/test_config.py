@@ -94,6 +94,8 @@ def test_parse_error_carries_line_number(tmp_path):
 def test_check_rejects_inconsistent_configs(tmp_path):
     with pytest.raises(ConfigurationError, match="a < b"):
         parse_config(_write(tmp_path, BASE.replace("b = 1", "b = -1")))
+    with pytest.raises(ConfigurationError, match="need n >= 1, got 0"):
+        parse_config(_write(tmp_path, BASE.replace("n = 96", "n = 0")))
     with pytest.raises(ConfigurationError, match="mutually exclusive"):
         parse_config(_write(tmp_path, BASE + "V_file = V.txt\n"))
     with pytest.raises(ConfigurationError, match="exactly one"):
@@ -106,6 +108,12 @@ def test_check_rejects_inconsistent_configs(tmp_path):
                             BASE.replace("lambda = 0.5", "lambda_start = 0.1")))
     with pytest.raises(ConfigurationError, match="positive"):
         parse_config(_write(tmp_path, BASE.replace("lambda = 0.5", "lambda = -1")))
+    for start, stop, count, message in ((0, 1, 4, "endpoints must be positive"),
+                                        (0.1, -1, 4, "endpoints must be positive"),
+                                        (0.1, 1, 0, "lambda_count must be >= 1")):
+        grid = "lambda_start = %g\nlambda_stop = %g\nlambda_count = %d" % (start, stop, count)
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(_write(tmp_path, BASE.replace("lambda = 0.5", grid)))
     with pytest.raises(ConfigurationError, match="path_vertices"):
         parse_config(_write(tmp_path, BASE + "path_vertices = 4\n"))
     with pytest.raises(ConfigurationError, match="format"):

@@ -67,6 +67,9 @@ def test_rayleigh_scale_invariance(kern200, grid200):
 def test_rayleigh_rejects_zero(kern200, grid200):
     with pytest.raises(UsageError):
         rayleigh(np.zeros(200), kern200, grid200)
+    for tol in (0.0, -1e-8):
+        with pytest.raises(UsageError, match="tolerance must be positive"):
+            first_eigenpair(kern200, grid200, tol)
 
 
 def test_rayleigh_hat_matches_dense_forms(kern200, grid200):
@@ -275,3 +278,6 @@ def test_torsion_potential_gate():
     V = make_potential(g, constant=-20.0)
     with pytest.raises(PreconditionError):
         torsion_solve(K, g, V, 1e-8, lambda1=13.0)
+    for tol in (0.0, -1e-8):
+        with pytest.raises(UsageError, match="tolerance must be positive"):
+            torsion_solve(K, g, make_potential(g, constant=0.5), tol)

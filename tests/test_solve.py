@@ -459,7 +459,7 @@ def test_distinct_predicate():
 
 def test_find_second_solution_distinct(prob96, mp_first, endpoints96):
     _, e1 = endpoints96
-    second = find_second_solution(prob96, mp_first, 1e-6, e1=e1, seed=1)
+    second = find_second_solution(prob96, mp_first, 1e-6, e1=e1)
     assert second is not None
     assert second.residual <= 1e-6
     assert distinct(second.u, mp_first.u)

@@ -1,4 +1,4 @@
-"""Power-law fitting, table export, seed derivation, and the CLI.
+"""Power-law fitting, table export, and the CLI.
 
 The full six-point sweep lives in the acceptance module; here the sweep
 driver is checked only through its preconditions and plumbing, and the
@@ -27,7 +27,6 @@ from fracmp import (
     SolverError,
     SweepRecord,
     UsageError,
-    derive_seed,
     export,
     fit_powerlaw,
     parse_config,
@@ -59,15 +58,6 @@ def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def test_derive_seed_deterministic():
-    assert derive_seed(0, 0) == derive_seed(0, 0)
-    seeds = {derive_seed(0, i) for i in range(32)}
-    assert len(seeds) == 32  # children do not collide
-    assert derive_seed(1, 0) != derive_seed(0, 0)
-    expected = int(np.random.SeedSequence([0, 3]).generate_state(1)[0])
-    assert derive_seed(0, 3) == expected
 
 
 def test_fit_powerlaw_two_points():
@@ -458,8 +448,8 @@ def test_cli_solve_without_second_solution(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep_module, "find_second_solution", spy)
     out = tmp_path / "out"
     assert main(["solve", _write(tmp_path, SMALL), "--out", str(out)]) == 0
-    # f(0) = 1: the origin, three jittered hats, beyond e1, 0.5 u and 1.5 u
-    assert len(tried) == 7
+    # f(0) = 1: the origin, beyond e1, 0.5 u and 1.5 u
+    assert len(tried) == 4
     assert found == [None]
     report = json.loads((out / "solve_report.json").read_text())
     assert report["second"] is None
@@ -588,7 +578,7 @@ def test_sweep_record_in_window_below_both_thresholds(tmp_path, monkeypatch, hat
     monkeypatch.setattr(sweep_module, "solve_lambda", stalled)
     consts = ScalingConstants(*[1.0] * 7, *hats)
     parts = sweep_module.assemble(parse_config(_write(tmp_path, SMALL)))
-    rec, _ = sweep_module._sweep_row(None, parts, None, consts, (0, 0.5))
+    rec, _ = sweep_module._sweep_row(None, parts, None, consts, 0.5)
     assert not rec.ok and rec.in_window is inside
 
 
@@ -676,10 +666,33 @@ print("numpy.random" in sys.modules)
 """
 
 
-def test_certify_draws_no_random_numbers(config_dir):
+def _fresh_run(script, cfg_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracmp.__file__)))
-    run = subprocess.run(
-        [sys.executable, "-c", _CERTIFY_RUN, os.path.join(config_dir, "sweep.cfg")],
-        env=env, capture_output=True, text=True, timeout=300, check=False)
+    run = subprocess.run([sys.executable, "-c", script, cfg_path],
+                         env=env, capture_output=True, text=True, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "False"
+    return run.stdout.splitlines()
+
+
+def test_certify_draws_no_random_numbers(config_dir):
+    assert _fresh_run(_CERTIFY_RUN, os.path.join(config_dir, "sweep.cfg"))[-1] == "False"
+
+
+# The first point is the local minimum by the origin, so every start of the
+# search runs and none finds a second point.
+_SECOND_RUN = """
+import sys
+from fracmp.config import lambdas, parse_config
+from fracmp.solve import construct_endpoints, descend, find_second_solution
+from fracmp.sweep import assemble, certify
+cfg = parse_config(sys.argv[1])
+eig, prob, consts = certify(cfg, assemble(cfg), float(lambdas(cfg)[0]))
+e0, e1 = construct_endpoints(prob, eig.phi1, consts)
+first = descend(e0, prob, cfg.solve_tol)
+print(find_second_solution(prob, first, cfg.solve_tol, e1=e1) is None)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_second_solution_search_draws_no_random_numbers(tmp_path):
+    assert _fresh_run(_SECOND_RUN, _write(tmp_path, SMALL))[-2:] == ["True", "False"]

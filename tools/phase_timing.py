@@ -32,7 +32,7 @@ import numpy as np
 from fracmp import solve
 from fracmp.config import _check, lambdas, parse_config
 from fracmp.model import hessian
-from fracmp.sweep import assemble, certify, derive_seed, first_solution
+from fracmp.sweep import assemble, certify, first_solution
 
 CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "configs", "solve.cfg")
@@ -90,9 +90,7 @@ def phases(n: int) -> dict:
         log.removeHandler(handler)
         log.setLevel(level)
     t2 = time.perf_counter()
-    # the seed solve_lambda hands the search for the first lambda
-    second = solve.find_second_solution(prob, cp, cfg.solve_tol, e1=e1,
-                                        seed=derive_seed(cfg.seed, 0) + 1)
+    second = solve.find_second_solution(prob, cp, cfg.solve_tol, e1=e1)
     t3 = time.perf_counter()
     return {"certify": t1 - t0, "mp": t2 - t1, "polish": sum(polish),
             "second": t3 - t2, "mp_eig": _lowest(cp.u, prob),
