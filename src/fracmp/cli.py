@@ -144,7 +144,7 @@ def cmd_solve(cfg: Config, ref_path: str | None) -> int:
             raise UsageError("reference solution %s is on a different grid" % ref_path)
     eig, prob, consts = certify(cfg, parts, lam)
     cp, second = solve_lambda(cfg, prob, eig.phi1, consts)
-    all_pos, min_val, _ = positivity_check(cp, grid, cfg.s)
+    all_pos, min_val = positivity_check(cp, grid)
     report = {
         "lambda": lam,
         "value": cp.value,
@@ -160,7 +160,7 @@ def cmd_solve(cfg: Config, ref_path: str | None) -> int:
         "solution_file": _write_solution(cp.u, grid, mp_path),
     }
     if second is not None:
-        pos2, min2, _ = positivity_check(second, grid, cfg.s)
+        pos2, min2 = positivity_check(second, grid)
         report["second"] = {
             "value": second.value,
             "residual": second.residual,
@@ -327,7 +327,7 @@ def cmd_verify(cfg: Config) -> int:
     check_after_eigenpair("endpoint energy", chk_endpoint)
 
     def chk_mp():
-        cp, _ = first_solution(cfg, prob, eig.phi1, consts)
+        cp = first_solution(cfg, prob, eig.phi1, consts)
         if cp.residual > cfg.mp_tol:
             raise AssertionError("residual %g" % cp.residual)
         lv = np.asarray(cp.trace)

@@ -82,7 +82,7 @@ def norms(u, grid: Grid, p: float) -> tuple[float, float]:
         raise ConfigurationError("Lp norm needs p >= 1, got p=%g" % p)
     v = as_grid_function(u, grid.n)
     lp = float((grid.h * np.sum(np.abs(v) ** p)) ** (1.0 / p))
-    linf = float(np.max(np.abs(v))) if grid.n else 0.0
+    linf = float(np.max(np.abs(v)))
     return lp, linf
 
 

@@ -213,7 +213,7 @@ def make_potential(grid: Grid, constant: float | None = None,
     return Potential(
         values=vals,
         cV=float(max(0.0, -np.min(vals))),
-        Vinf=float(np.max(np.abs(vals))) if grid.n else 0.0,
+        Vinf=float(np.max(np.abs(vals))),
     )
 
 

@@ -684,17 +684,11 @@ def comparison_check(u, v, prob: Problem) -> ComparisonReport:
                             pairing=pairing, max_excess=max_excess)
 
 
-def positivity_check(cp, grid: Grid, s: float):
-    """Nodewise positivity plus the boundary quotient u_i / d_i^s.
-
-    The quotient echoes the boundary-behavior statement for positive
-    solutions; it is a diagnostic, nothing asserts its limit discretely.
-    """
+def positivity_check(cp, grid: Grid):
+    """Nodewise positivity: (every entry > 0, the least entry)."""
     u = cp.u if hasattr(cp, "u") else cp
-    u = as_grid_function(u, grid.n)
-    mn = float(np.min(u)) if grid.n else 0.0
-    quotient = u / grid.d ** s
-    return bool(mn > 0.0), mn, quotient
+    mn = float(np.min(as_grid_function(u, grid.n)))
+    return bool(mn > 0.0), mn
 
 
 def distinct(u, v) -> bool:
@@ -707,36 +701,27 @@ def distinct(u, v) -> bool:
     return gap > DISTINCT_REL * ref
 
 
-def find_second_solution(prob: Problem, first: CriticalPoint, tol: float,
-                         e1=None) -> CriticalPoint | None:
+def find_second_solution(prob: Problem, first: CriticalPoint, tol: float
+                         ) -> CriticalPoint | None:
     """Search for a critical point distinct from first; None when not found.
 
-    Strategies, in order: descend from the origin (the f(0) != 0 case has a
-    nearby local minimizer), descend from beyond the far endpoint (guarded:
-    the functional is unbounded below there), and descend from scaled
-    copies of the first solution.  Absence is a report, not an error.
+    With f(0) = 0 the origin is the second, trivial, solution (a strict
+    local minimum), and there is nothing to search for: None at once.  With
+    f(0) != 0 a local minimizer lies below the mountain-pass ridge: descend
+    from the origin, then from half the first solution.  Starts past the
+    ridge are not tried, as the functional is unbounded below there.
+    Absence is a report, not an error.
     """
     if not np.isfinite(first.residual):
         raise UsageError("first critical point must be converged")
-    n = prob.grid.n
-    trivial_zero = f_eval(0.0, prob.nl) == 0.0
-
-    starts: list[np.ndarray] = []
-    if not trivial_zero:
-        starts.append(np.zeros(n))
-    if e1 is not None:
-        starts.append(1.5 * as_grid_function(e1, n))
-    starts.append(0.5 * first.u)
-    starts.append(1.5 * first.u)
-
-    for idx, u0 in enumerate(starts):
+    if f_eval(0.0, prob.nl) == 0.0:
+        return None
+    for idx, u0 in enumerate((np.zeros(prob.grid.n), 0.5 * first.u)):
         try:
             cand = descend(u0, prob, tol)
         except SolverError as exc:
             log.debug("second-solution start %d failed: %s", idx, exc)
             continue
-        if trivial_zero and not distinct(cand.u, np.zeros(n)):
-            continue  # origin is a known solution when f(0) = 0, not a find
         if distinct(first.u, cand.u):
             return cand
     return None

@@ -134,19 +134,18 @@ def certify(cfg: Config, parts, lam: float):
 
 
 def first_solution(cfg: Config, prob: Problem, phi1, consts: ScalingConstants
-                   ) -> tuple[CriticalPoint, np.ndarray]:
-    """Mountain pass at the lambda of prob: (critical point, e1)."""
+                   ) -> CriticalPoint:
+    """The mountain-pass point at the lambda of prob, between its endpoints."""
     e0, e1 = construct_endpoints(prob, phi1, consts)
-    cp = mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
-                       constants=consts)
-    return cp, e1
+    return mountain_pass(prob, e0, e1, P=cfg.path_vertices, tol=cfg.mp_tol,
+                         constants=consts)
 
 
 def solve_lambda(cfg: Config, prob: Problem, phi1, consts: ScalingConstants
                  ) -> tuple[CriticalPoint, CriticalPoint | None]:
     """Mountain pass, then the second-solution search: (first, second or None)."""
-    cp, e1 = first_solution(cfg, prob, phi1, consts)
-    return cp, find_second_solution(prob, cp, cfg.solve_tol, e1=e1)
+    cp = first_solution(cfg, prob, phi1, consts)
+    return cp, find_second_solution(prob, cp, cfg.solve_tol)
 
 
 def _sweep_row(cfg: Config, parts, phi1, consts: ScalingConstants, lam):

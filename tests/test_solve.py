@@ -275,9 +275,9 @@ def test_mountain_pass_contract(mp_first, prob96, consts96):
 
 
 def test_mountain_pass_solution_positive(mp_first, grid96):
-    all_pos, mn, quotient = positivity_check(mp_first, grid96, 0.4)
+    all_pos, mn = positivity_check(mp_first, grid96)
     assert all_pos and mn > 0.0
-    np.testing.assert_allclose(quotient, mp_first.u / grid96.d ** 0.4, rtol=1e-14)
+    assert mn == float(np.min(mp_first.u))
 
 
 def test_mountain_pass_not_a_local_min(mp_first, prob96):
@@ -439,10 +439,7 @@ def test_comparison_requires_nonnegative_potential(grid96, kernel96, nl_f1):
 
 
 def test_positivity_check_zero_function(grid96):
-    all_pos, mn, quotient = positivity_check(np.zeros(96), grid96, 0.4)
-    assert not all_pos
-    assert mn == 0.0
-    assert not np.any(quotient)
+    assert positivity_check(np.zeros(96), grid96) == (False, 0.0)
 
 
 def test_distinct_predicate():
@@ -457,9 +454,8 @@ def test_distinct_predicate():
     assert distinct(big, big + 0.2)
 
 
-def test_find_second_solution_distinct(prob96, mp_first, endpoints96):
-    _, e1 = endpoints96
-    second = find_second_solution(prob96, mp_first, 1e-6, e1=e1)
+def test_find_second_solution_distinct(prob96, mp_first):
+    second = find_second_solution(prob96, mp_first, 1e-6)
     assert second is not None
     assert second.residual <= 1e-6
     assert distinct(second.u, mp_first.u)
@@ -475,6 +471,47 @@ def _instance(n, s, p, q, f0, V, lam):
     consts = certify_constants(prob, eig.phi1)
     e0, e1 = construct_endpoints(prob, eig.phi1, consts)
     return prob, e0, e1, consts
+
+
+def _counted_descents(monkeypatch):
+    # each fracmp.solve.descend call's outcome: the point, or the error raised
+    outcomes = []
+    real = fracmp.solve.descend
+
+    def spy(*args, **kwargs):
+        try:
+            outcomes.append(real(*args, **kwargs))
+        except SolverError as exc:
+            outcomes.append(exc)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr(fracmp.solve, "descend", spy)
+    return outcomes
+
+
+def test_find_second_solution_none_without_descent_when_f0_zero(monkeypatch):
+    # f(0) = 0: the origin is the second, trivial, solution; nothing is searched
+    prob, e0, e1, consts = _instance(32, 0.4, 2.0, 3.0, 0.0, 0.25, 0.5)
+    first = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
+    outcomes = _counted_descents(monkeypatch)
+    assert find_second_solution(prob, first, 1e-6) is None
+    assert outcomes == []
+
+
+def test_find_second_solution_from_half_the_first_point(monkeypatch):
+    # the origin's descent diverges at this p = 3, lambda = 3 instance, and
+    # the second start, half the mountain-pass point, finds the local minimum
+    prob, e0, e1, consts = _instance(32, 0.2, 3.0, 3.8, 1.0, 0.0, 3.0)
+    first = mountain_pass(prob, e0, e1, tol=1e-6, constants=consts)
+    outcomes = _counted_descents(monkeypatch)
+    second = find_second_solution(prob, first, 1e-6)
+    assert len(outcomes) == 2
+    assert isinstance(outcomes[0], SolverError)
+    assert str(outcomes[0]).startswith("descent diverged")
+    assert second is outcomes[1]
+    assert second.tag == "local-min"
+    assert second.u.tobytes() == descend(0.5 * first.u, prob, 1e-6).u.tobytes()
 
 
 def test_saddle_polish_restarts_then_newton_fallback(monkeypatch, caplog):
@@ -634,7 +671,7 @@ def test_solve_cfg_converges_under_mesh_refinement(config_dir):
     for n in (24, 48, 96):
         cfg = _check(dataclasses.replace(base, n=n))
         eig, prob, consts = certify(cfg, assemble(cfg), float(lambdas(cfg)[0]))
-        cp, _ = first_solution(cfg, prob, eig.phi1, consts)
+        cp = first_solution(cfg, prob, eig.phi1, consts)
         seqs.append((eig.lambda1, cp.value, norm_W(cp.u, prob.kernel)))
     for (a, b, c), sign, (lo, hi) in zip(zip(*seqs), (1.0, -1.0, -1.0),
                                          ((2.0, 3.2), (1.15, 2.3), (1.15, 2.3))):

@@ -448,8 +448,8 @@ def test_cli_solve_without_second_solution(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep_module, "find_second_solution", spy)
     out = tmp_path / "out"
     assert main(["solve", _write(tmp_path, SMALL), "--out", str(out)]) == 0
-    # f(0) = 1: the origin, beyond e1, 0.5 u and 1.5 u
-    assert len(tried) == 4
+    # f(0) = 1: the origin, then half the mountain-pass point
+    assert len(tried) == 2
     assert found == [None]
     report = json.loads((out / "solve_report.json").read_text())
     assert report["second"] is None
@@ -687,9 +687,9 @@ from fracmp.solve import construct_endpoints, descend, find_second_solution
 from fracmp.sweep import assemble, certify
 cfg = parse_config(sys.argv[1])
 eig, prob, consts = certify(cfg, assemble(cfg), float(lambdas(cfg)[0]))
-e0, e1 = construct_endpoints(prob, eig.phi1, consts)
+e0, _ = construct_endpoints(prob, eig.phi1, consts)
 first = descend(e0, prob, cfg.solve_tol)
-print(find_second_solution(prob, first, cfg.solve_tol, e1=e1) is None)
+print(find_second_solution(prob, first, cfg.solve_tol) is None)
 print("numpy.random" in sys.modules)
 """
 

@@ -83,14 +83,14 @@ def phases(n: int) -> dict:
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
-        cp, e1 = first_solution(cfg, prob, eig.phi1, consts)
+        cp = first_solution(cfg, prob, eig.phi1, consts)
     finally:
         solve._polish_saddle = real
         solve._negative_direction = real_turn
         log.removeHandler(handler)
         log.setLevel(level)
     t2 = time.perf_counter()
-    second = solve.find_second_solution(prob, cp, cfg.solve_tol, e1=e1)
+    second = solve.find_second_solution(prob, cp, cfg.solve_tol)
     t3 = time.perf_counter()
     return {"certify": t1 - t0, "mp": t2 - t1, "polish": sum(polish),
             "second": t3 - t2, "mp_eig": _lowest(cp.u, prob),
