@@ -296,8 +296,8 @@ def _path_forces(path: np.ndarray, G: np.ndarray, k_int: int) -> np.ndarray:
 
 
 def _refine_maximizer(path: np.ndarray, J: np.ndarray, kmax: int,
-                      prob: Problem) -> np.ndarray:
-    """1-d max of the energy along the polyline near the max vertex."""
+                      prob: Problem) -> tuple[np.ndarray, float]:
+    """The 1-d max of the energy along the polyline near vertex kmax, and its energy."""
     P = path.shape[0] - 1
     t = np.linspace(0.0, 1.0, 15 + 2)[1:-1, None]  # 15 points inside each segment
     samples = np.concatenate([(1.0 - t) * path[ka] + t * path[kb]
@@ -309,7 +309,7 @@ def _refine_maximizer(path: np.ndarray, J: np.ndarray, kmax: int,
         if Jw > best_J:
             best_J = Jw
             best_u = w
-    return best_u.copy()
+    return best_u.copy(), float(best_J)
 
 
 def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
@@ -383,11 +383,14 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
 
     Rayleigh-quotient minimization with exact two-dimensional Rayleigh-Ritz
     steps on span{v, residual}, using finite-difference Hessian products.
+    A non-finite Rayleigh quotient or Ritz value overflow keeps the last v.
     """
     v = v / max(vector_norm(v), 1e-300)
     for _ in range(40):
         Hv = _hessian_product(w, v, prob, fd_eps)
         a = float(v @ Hv)
+        if not np.isfinite(a):
+            break
         resid = Hv - a * v
         rn = vector_norm(resid)
         if rn < 1e-9 * max(1.0, abs(a)):
@@ -396,7 +399,10 @@ def _negative_direction(w: np.ndarray, v: np.ndarray, prob: Problem,
         Hr = _hessian_product(w, rhat, prob, fd_eps)
         b = float(rhat @ Hv)
         d = float(rhat @ Hr)
-        mu = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
+        try:
+            mu = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
+        except OverflowError:
+            break
         c1, c2 = b, mu - a
         nc = np.hypot(c1, c2)
         if nc < 1e-14 * max(1.0, abs(mu)):
@@ -508,13 +514,11 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
         if len(levels) > 40 and levels[-40] - M < 1e-10 * (1.0 + abs(M)):
             break
 
-    J_path_min = float(np.min(Jf[0::2]))
     kref = int(np.argmax(Jf))
-    w0 = _refine_maximizer(fine, Jf, kref, prob)
+    w0, level = _refine_maximizer(fine, Jf, kref, prob)
     tangent = fine[min(kref + 1, 2 * P)] - fine[max(kref - 1, 0)]
 
-    u_best, flow_its = _polish_saddle(
-        w0, tangent, prob, tol, value_lo=J_path_min, value_hi=M)
+    u_best, flow_its = _polish_saddle(w0, tangent, prob, tol)
     total_its = evals + flow_its
     value = energy(u_best, prob)
     final_res = residual_norm(u_best, prob)
@@ -525,10 +529,10 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
         raise SolverError(
             "mountain pass polished to residual %g > tol %g" % (final_res, tol),
             last=cp, iterations=total_its, residual=final_res)
-    lo_ok, hi_ok = _level_bracket(M)
+    lo_ok, hi_ok = _level_bracket(level)
     if not (lo_ok <= value <= hi_ok):
         raise SolverError(
-            "polish converged at value %g, away from the path level %g" % (value, M),
+            "polish converged at value %g, away from the path level %g" % (value, level),
             last=cp, iterations=total_its, residual=final_res)
     if constants is not None and prob.lam < constants.lam_hat2:
         bound = constants.ring_bound(prob)
@@ -539,7 +543,7 @@ def mountain_pass(prob: Problem, e0, e1, P: int = 21, tol: float = 1e-6,
 
 
 def _level_bracket(M: float) -> tuple[float, float]:
-    """Acceptance window around the recorded path level for polished values."""
+    """Acceptance window for polished values around M, a level the path attains."""
     atol = 1e-9 + 1e-6 * abs(M)
     return M - 0.75 * abs(M) - atol, M + 0.25 * abs(M) + atol
 
@@ -556,8 +560,7 @@ def _stable_step(w: np.ndarray, v: np.ndarray, prob: Problem, fd_eps: float) -> 
 
 
 def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
-                   tol: float, value_lo: float, value_hi: float
-                   ) -> tuple[np.ndarray, int]:
+                   tol: float) -> tuple[np.ndarray, int]:
     """Reflected gradient flow from the path maximizer toward the saddle.
 
     The step reverses the gradient component along the estimated unstable
@@ -566,17 +569,16 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
     curvature and the step length comes from a sampled curvature bound.
     The flow runs in up to three rounds from the maximizer, each with a
     third of the step before it.  A round ends at tol (the polish is then
-    done), on a non-finite iterate, or when it leaves the energy bracket
-    around the path level; POLISH_CAP caps the steps of all rounds.
-    Keeps and returns the best-residual iterate, with the flow steps
-    taken; if the flow stalls above tolerance a damped Newton iteration
-    with the exact Hessian is tried from the best iterate, accepted only
-    when it lands near the recorded path level.
+    done), on a non-finite iterate, or when the residual at a direction
+    refresh exceeds 50 times the best; POLISH_CAP caps the steps of all
+    rounds.  Keeps and returns the best-residual iterate, with the flow
+    steps taken; if the flow stalls above tolerance a damped Newton
+    iteration with the exact Hessian from the best iterate replaces it
+    when its residual is lower.
     """
     sqrt_h = np.sqrt(prob.h)
     scale = max(float(np.max(np.abs(w0))), 1e-12)
     fd_eps = 1e-5 * scale
-    margin = 0.5 * abs(value_hi - value_lo) + 10.0 * _slack(value_hi)
     it_total = 0
     w_best = w0.copy()
     r_best = residual_norm(w0, prob)
@@ -610,9 +612,8 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
                 if since_refresh >= 40:
                     v = _negative_direction(w, v, prob, fd_eps)
                     since_refresh = 0
-                    val = energy(w, prob)
-                    if r > 50.0 * r_best or val > value_hi + margin or val < value_lo - margin:
-                        break  # escaped the saddle bracket; restart smaller
+                    if r > 50.0 * r_best:
+                        break  # left the saddle; restart smaller
     if r_best > tol:
         # damped Newton on grad J = 0 from the best iterate, backtracking on ||grad J||
         w, g = w_best, gradient(w_best, prob)
@@ -634,9 +635,7 @@ def _polish_saddle(w0: np.ndarray, tangent: np.ndarray, prob: Problem,
                     break
                 w, g, r = z, gz, rz
         r_newton = float(r / sqrt_h)
-        val = energy(w, prob)
-        lo, hi = _level_bracket(value_hi)
-        if r_newton < r_best and lo <= val <= hi:
+        if r_newton < r_best:
             log.info("saddle polish used the Newton fallback "
                      "(flow residual %g, Newton residual %g)", r_best, r_newton)
             w_best = w

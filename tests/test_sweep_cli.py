@@ -381,6 +381,24 @@ def test_cli_solve_full_report(tmp_path, config_dir):
     assert meta["n"] == 96 and np.all(values > 0.0)
 
 
+@pytest.mark.parametrize("n, s, q, f0", [
+    # the flow's Hessian products overflow to a non-finite Rayleigh quotient
+    (32, 0.2, 4.25, -0.5),
+    # the Ritz value's (a - d) ** 2 overflows a Python float
+    (48, 0.3, 23.59999999999998, 0.5),
+])
+def test_cli_solve_overflow_in_negative_direction_is_no_usage_error(tmp_path, capsys,
+                                                                     n, s, q, f0):
+    # configs/solve.cfg at p = 3, V = -0.5, lambda = 1: the direction
+    # estimate stops at its last finite vector, so the solve ends as a solve,
+    # not with exit 2 or a traceback
+    text = ("a = 0\nb = 1\nn = %d\ns = %r\np = 3\nq = %r\nf0 = %r\nV_const = -0.5\n"
+            "lambda = 1\neigen_tol = 1e-9\n" % (n, s, q, f0))
+    out = tmp_path / "out"
+    assert main(["solve", _write(tmp_path, text), "--out", str(out)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_verify_all_checks_pass(tmp_path, capsys):
     assert main(["verify", _write(tmp_path, SMALL)]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -5,7 +5,8 @@ fail when it installs its wrappers, so every name is checked here.  The
 table is read from the tracer's source, without importing the tracer.
 tools/kernel_timing.py prints each of its tables once at a tiny size, and
 tools/phase_timing.py its phase table at n = 16, with no timing gate, and
-tools/output_digest.py digests every output of the shipped configs at n = 16.
+tools/output_digest.py digests every output of the shipped configs at n = 16,
+and tools/mp_scan.py prints one outcome line for each of two instances.
 """
 
 import ast
@@ -101,3 +102,22 @@ def test_output_digest_is_reproducible(capsys):
     assert tool.digest_lines(str(ROOT / "configs" / "sweep.cfg"), 16) == sweep
     stamped = ['{"generated": "%s", "records": []}' % t for t in ("then", "now")]
     assert tool.normalise(stamped[0], "/x") == tool.normalise(stamped[1], "/x")
+
+
+def test_mp_scan_prints_one_outcome_per_instance(capsys):
+    tool = _tool("mp_scan")
+    assert tool.main(["--seed", "0", "--count", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for i, (ln, inst) in enumerate(zip(lines, tool.instances(0, 2))):
+        head, result = ln.split("  ")
+        fields = dict(f.split("=") for f in head.split()[1:])
+        assert head.split()[0] == str(i) and list(fields) == [
+            "n", "s", "p", "q", "f0", "V", "lam"]
+        n, s, p, q, f0, V, lam = inst
+        assert n in tool.SIZES and (s, p) in tool.SP and float(fields["q"]) == q
+        assert f0 in tool.F0 and V in tool.V_CONST and lam in tool.LAMBDAS
+        # a point's digest and its two lowest H/h eigenvalues, or the error
+        assert re.fullmatch(r"ok [0-9a-f]{64} \S+,\S+|[A-Za-z]+Error: .+", result)
+    # the same seed draws the same instances
+    assert tool.instances(0, 2) == tool.instances(0, 2)
