@@ -40,26 +40,34 @@ while B * n * n stays within _STACK_CAP = 2^16 entries (512 KiB); a longer
 stack is cut into stacks of that size.  At n = 96 and p = 2 a stack of 7
 costs about 32 (seminorm_p) and 26 us (apply_flap) a point, against 43 and
 31 us for one point (tools/kernel_timing.py); from n = 182 on a stack is
-one row, so the two-thread path below always sees one row.
+one row.
 
-From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, and when the process may
-run on more than one CPU, the calling thread shares the block pass with the
-one thread of a pool, started on first use (numpy's elementwise loops
-release the interpreter lock); _weighted_table alone decides this, from n.
-The block pass pops row-block starts from one deque, widest block first, so
-the work splits evenly and a thread that starts late or is descheduled just
-takes fewer blocks.  Block r0:r1 owns M[r0:r1, r0:] and the mirror
-M[r1:, r0:r1]: the blocks write disjoint regions.  Every table, the
-seminorm's, the operator's and the Hessian's, is handed to the pool's
-thread once, for that pass; every sum over it runs on the calling thread.
-Every entry is the same elementwise operation on the same floats whichever
-thread computes it, and a row's sum reads only that row's n contiguous
-entries, so every function returns the same bytes on one thread or two.
-Below the threshold the second thread costs more than it saves
-(tools/kernel_timing.py prints both paths side by side); there the blocks
-run inline, with no scheduling.  The second thread's scratch comes from the
-caller, so it allocates no array data of its own, and it runs in the
-caller's context, so the caller's np.errstate holds there.
+When the process may run on more than one CPU, the calling thread shares a
+call's work with the one thread of a pool, started on first use (numpy's
+elementwise loops release the interpreter lock), in one hand-off per call
+(_share): both threads pop the next item from one deque when they finish
+one, so the work splits evenly and a thread that starts late or is
+descheduled just takes fewer items.  Which items are shared depends on n.
+From _PARALLEL_ROWS = 4 * _PAIR_BLOCK rows on, the items are the row
+blocks of one table (_weighted_table), widest first.  Block r0:r1 owns
+M[r0:r1, r0:] and the mirror M[r1:, r0:r1]: the blocks write disjoint
+regions.  Every table, the seminorm's, the operator's and the Hessian's,
+is handed to the pool's thread once, for that pass; every sum over it
+runs on the calling thread.  Every entry is the same elementwise operation
+on the same floats whichever thread computes it, and a row's sum reads
+only that row's n contiguous entries, so every function returns the same
+bytes on one thread or two.  Below _PARALLEL_ROWS a table's blocks cost
+more to share than they save (tools/kernel_timing.py prints both paths
+side by side) and run inline; there the items are instead the stacks of a
+call that cuts into _SHARED_STACKS or more (_by_stack).  Each stack's
+table and sums are built whole on one thread by the one-thread code, and
+the results are joined in row order, so every row is again the bytes of
+the one-point call; a stack never nests a block hand-off.  The mountain
+pass's 20 vertex gradients at n = 192 ran 1.1-1.4x as fast so, and its
+path scan hands over 8 stacks a call (solve._refined_path).  The second
+thread's block scratch comes from the caller, so a shared table allocates
+no array data on it, and it runs in the caller's context, so the caller's
+np.errstate holds there.
 """
 from __future__ import annotations
 
@@ -89,6 +97,12 @@ _PARALLEL_ROWS = 4 * _PAIR_BLOCK
 # the larger cap only holds a larger table resident (the sweep-p2-n96
 # benchmark's peak RSS rose 1.08 MB at 2^17, 0.59 MB at 2^16).
 _STACK_CAP = 1 << 16
+# From this many stacks on, one call's stacks are shared with the pool's
+# thread below _PARALLEL_ROWS (_by_stack).  Two one-row stacks, the finite-
+# difference Hessian product at n = 192, ran 0.83-0.92x as fast shared at
+# p = 2 and 1.07-1.20x at p = 2.5 (tools/kernel_timing.py, fifth table), and
+# the n = 192 solve at p = 2 was slower with them shared.
+_SHARED_STACKS = 3
 # CPUs this process may run on: one keeps every table on one thread, and a
 # sweep's rows in this process (sweep._row_workers).
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -202,7 +216,7 @@ def _threads(n: int) -> int:
 
 
 def _take(todo: deque):
-    """Row-block starts popped from a deque that both threads share."""
+    """Items popped from a deque that both threads share."""
     while True:
         try:
             yield todo.popleft()
@@ -210,29 +224,27 @@ def _take(todo: deque):
             return
 
 
-def _run_blocks(n: int, work, scratch: list) -> None:
-    """Call work(starts, scratch[k]) on thread k over an n-row table's blocks.
+def _share(items, work, scratch: list) -> None:
+    """Call work(taken, scratch[k]) on thread k, the two threads taking items in turn.
 
-    This is _weighted_table's one hand-off to the pool per table.  The
-    pool's thread runs beside the calling thread; both pop the next
-    row-block start from one deque when they finish a block, so a pool
-    thread that starts late, or is descheduled, only takes fewer blocks.
-    While tracemalloc is tracing, the calling thread takes every block: the
-    peak it reports would otherwise depend on how the two threads'
-    transient numpy buffers overlap, and the arrays allocated are the same
-    either way.
+    This is the one hand-off to the pool per call: the row-block starts of
+    one table (_weighted_table, from _PARALLEL_ROWS rows on) or the stack
+    starts of one _by_stack call (below it).  The pool's thread runs beside
+    the calling thread; both pop the next item from one deque when they
+    finish one, so a pool thread that starts late, or is descheduled, only
+    takes fewer.  The callers keep every item on the calling thread while
+    tracemalloc is tracing: the peak it reports would otherwise depend on
+    how the two threads' transient numpy buffers overlap, and the arrays
+    allocated are the same either way.
 
-    The pool's part gets work (which holds the table) through a list that
-    is empty when this returns.  A work item the pool still queues after
-    its cancel, or still holds after its run, would otherwise keep the
-    table alive into the next call, and whether two tables were resident at
-    once, and so the process's peak memory, would depend on when the pool's
-    thread woke.
+    The pool's part gets work (which holds the table or the stacks) through
+    a list that is empty when this returns.  A work item the pool still
+    queues after its cancel, or still holds after its run, would otherwise
+    keep the table alive into the next call, and whether two tables were
+    resident at once, and so the process's peak memory, would depend on
+    when the pool's thread woke.
     """
-    if tracemalloc.is_tracing():
-        work(range(0, n, _PAIR_BLOCK), scratch[0])
-        return
-    todo = deque(range(0, n, _PAIR_BLOCK))
+    todo = deque(items)
     args = [work, _take(todo), scratch[1]]
     # run in the caller's context, so the caller's np.errstate holds there
     part = _pool.submit(contextvars.copy_context().run, _run_taken, args)
@@ -245,10 +257,10 @@ def _run_blocks(n: int, work, scratch: list) -> None:
 
 
 def _run_taken(args: list) -> None:
-    """work(starts, scratch) from args, emptied before the work starts."""
-    work, starts, scratch = args
+    """work(taken, scratch) from args, emptied before the work starts."""
+    work, taken, scratch = args
     args.clear()
-    work(starts, scratch)
+    work(taken, scratch)
 
 
 def _weighted_table(v: np.ndarray, W_blocks: tuple, e: float, odd: bool) -> np.ndarray:
@@ -270,7 +282,7 @@ def _weighted_table(v: np.ndarray, W_blocks: tuple, e: float, odd: bool) -> np.n
     plain difference, so it takes no mask, abs or power; the even map at
     e = 2 skips abs, as d^2 is |d|^2 to the bit.  From _PARALLEL_ROWS rows
     on (_threads) the blocks are shared with the pool's thread in one
-    _run_blocks pass; B is then 1 (_stack_rows).  The caller sums the
+    _share pass; B is then 1 (_stack_rows).  The caller sums the
     returned table on its own thread.
     """
     B, n = v.shape
@@ -304,10 +316,11 @@ def _weighted_table(v: np.ndarray, W_blocks: tuple, e: float, odd: bool) -> np.n
     # the odd map's sign mask, one per thread, so the second thread
     # allocates no array data
     neg = np.empty((B, min(_PAIR_BLOCK, n), n), dtype=np.int8) if signed else None
-    if _threads(n) == 1:
+    if _threads(n) == 1 or tracemalloc.is_tracing():
         build(range(0, n, _PAIR_BLOCK), neg)
     else:
-        _run_blocks(n, build, [neg, None if neg is None else np.empty_like(neg)])
+        _share(range(0, n, _PAIR_BLOCK), build,
+               [neg, None if neg is None else np.empty_like(neg)])
     return M
 
 
@@ -316,17 +329,42 @@ def _stack_rows(n: int) -> int:
     return max(1, _STACK_CAP // (n * n))
 
 
+def _shares_stacks(n: int) -> bool:
+    """Whether the stacks of a call on n-point grid functions may go to two threads.
+
+    So they may below _PARALLEL_ROWS, where each table's blocks stay on one
+    thread, in a process that may run on more than one CPU; _by_stack then
+    shares a call that cuts into _SHARED_STACKS or more, unless tracemalloc
+    is tracing.
+    """
+    return _CPUS > 1 and _threads(n) == 1
+
+
 def _by_stack(sums, v: np.ndarray, n: int) -> np.ndarray:
     """sums(rows) over the rows of v, _stack_rows at a time.
 
     v is one grid function (n,), taken as a stack of one, or a stack
-    (B, n); the results are joined along the first axis.
+    (B, n); the results are joined along the first axis, in row order.
+    From _SHARED_STACKS stacks on, where _shares_stacks(n) and tracemalloc
+    is not tracing, the stacks go to two threads in one _share pass: each
+    stack is built and summed whole on one thread by the same code, so
+    every row is the same bytes either way.
     """
     rows = v.reshape(-1, n)
     step = _stack_rows(n)
     if rows.shape[0] <= step:
         return sums(rows)
-    return np.concatenate([sums(rows[b:b + step]) for b in range(0, rows.shape[0], step)])
+    starts = range(0, rows.shape[0], step)
+    if len(starts) < _SHARED_STACKS or not _shares_stacks(n) or tracemalloc.is_tracing():
+        return np.concatenate([sums(rows[b:b + step]) for b in starts])
+    out = [None] * len(starts)
+
+    def work(taken, _):
+        for b in taken:
+            out[b // step] = sums(rows[b:b + step])
+
+    _share(starts, work, [None, None])
+    return np.concatenate(out)
 
 
 def seminorm_p(u, K: Kernel):

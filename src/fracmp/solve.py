@@ -27,7 +27,7 @@ from ._descent import _slack, bb_descent, vector_norm
 from .eigen import rayleigh, rayleigh_minimum
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, _stack_rows, norm_W
+from .kernel import Kernel, _shares_stacks, _stack_rows, norm_W
 from .model import (
     Problem,
     energy,
@@ -324,11 +324,14 @@ def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
     index start and the scan stops at the first one that fails it; the
     energies are then None.  Returns (samples, energies, evaluations made).
 
-    The samples are evaluated a stack at a time (kernel._stack_rows), in
-    scan order, and the accept test runs sample by sample in that order.
-    The rows of a stack after the first failure are computed but discarded,
-    and not counted in the evaluations made.  A non-finite sample starts a
-    stack of its own, so it raises only when the scan reaches it.
+    The samples are evaluated in scan order, the start sample alone and
+    then a stack (kernel._stack_rows) a call, or 8 stacks a call where the
+    kernel shares a call's stacks with its second thread
+    (kernel._shares_stacks); the accept test runs sample by sample in that
+    order.  The rows of a call after the first failure are computed but
+    discarded, and not counted in the evaluations made, so the count does
+    not depend on the CPUs.  A non-finite sample starts a call of its own,
+    so it raises only when the scan reaches it.
     """
     P = path.shape[0] - 1
     fine = np.empty((2 * P + 1, path.shape[1]))
@@ -340,16 +343,17 @@ def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
         return fine, None, 0
     order = sorted(range(1, 2 * P), key=lambda k: abs(k - start))
     finite = np.isfinite(fine).all(axis=1)
-    # the first stack is the start sample alone: a trial scan starts where
+    # the first call is the start sample alone: a trial scan starts where
     # the path peaks, and most rejected trials fail right there
     step = 1
+    later = _stack_rows(path.shape[1]) * (8 if _shares_stacks(path.shape[1]) else 1)
     made = 0
     while made < len(order):
         take = order[made:made + step]
         cut = next((i for i, k in enumerate(take) if not finite[k]), len(take))
         take = take[:max(cut, 1)]
         Jf[take] = energy(fine[take], prob)
-        step = _stack_rows(path.shape[1])
+        step = later
         for k in take:
             made += 1
             if accept is not None and not accept(Jf[k]):

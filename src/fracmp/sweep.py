@@ -183,7 +183,10 @@ def _row_workers(rows: int, n: int) -> int:
     0 runs the rows in this process.  Rows run in forked processes when
     fork exists and this process may use more than one CPU, but only while
     the pair tables stay on one thread (n below kernel._PARALLEL_ROWS), so
-    row processes and the two-thread tables never share the cores.
+    row processes and the two-thread tables never share the cores.  Each
+    worker's kernel then takes its share of the CPUs (_use_cpus): one, when
+    there are as many workers as CPUs, so it does not share its stacks with
+    a second thread either.
     """
     workers = min(rows, kernel._CPUS)
     if not hasattr(os, "fork") or workers < 2 or kernel._threads(n) != 1:
@@ -191,13 +194,19 @@ def _row_workers(rows: int, n: int) -> int:
     return workers
 
 
+def _use_cpus(cpus: int) -> None:
+    """A row worker's initializer: the CPUs its kernel counts on (kernel._CPUS)."""
+    kernel._CPUS = cpus
+
+
 def sweep(cfg: Config, progress=None) -> SweepResult:
     """Run the full lambda sweep described by a validated config.
 
     The rows are independent (each depends on its lambda alone), so they
-    may run in worker processes (_row_workers); they come back in lambda
-    order, and every row is the same bytes either way.  progress(record)
-    is called in this process, in lambda order.
+    may run in worker processes (_row_workers), each of which counts on
+    its share of the CPUs, max(1, kernel._CPUS // workers); they come back
+    in lambda order, and every row is the same bytes either way.
+    progress(record) is called in this process, in lambda order.
     """
     lams = lambdas(cfg)
     if len(lams) < 4:
@@ -220,7 +229,9 @@ def sweep(cfg: Config, progress=None) -> SweepResult:
         # its own pair-table thread)
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_use_cpus,
+                                   initargs=(max(1, kernel._CPUS // workers),))
     try:
         for rec, sol in (pool.map if pool else map)(row, lams):
             records.append(rec)

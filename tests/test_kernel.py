@@ -408,13 +408,13 @@ def _check_table_bytes(monkeypatch, threaded):
     pool's thread exactly once from _PARALLEL_ROWS rows on if threaded, and
     never otherwise: every sum runs on the calling thread."""
     handoffs = []
-    run_blocks = kernel._run_blocks
+    share = kernel._share
 
-    def spy(n, work, scratch):
-        handoffs.append(n)
-        run_blocks(n, work, scratch)
+    def spy(items, work, scratch):
+        handoffs.append(items)
+        share(items, work, scratch)
 
-    monkeypatch.setattr(kernel, "_run_blocks", spy)
+    monkeypatch.setattr(kernel, "_share", spy)
 
     def check(n, p, seed, levels, scale):
         s = 0.9 / (p + 0.5)
@@ -430,7 +430,8 @@ def _check_table_bytes(monkeypatch, threaded):
                            (lambda: hessian(u, prob), _full_hessian(u, prob))):
             del handoffs[:]
             assert np.asarray(call()).tobytes() == np.asarray(want).tobytes()
-            assert handoffs == ([n] if threaded and n >= _PARALLEL_ROWS else [])
+            assert handoffs == ([range(0, n, _PAIR_BLOCK)]
+                                if threaded and n >= _PARALLEL_ROWS else [])
 
     for n in _SIZES:
         for p in (2.5, 3.0, 4.0):
@@ -462,25 +463,78 @@ def test_two_thread_hessian_matches_full_formula_bit_for_bit(two_threads, monkey
     _check_table_bytes(monkeypatch, threaded=True)
 
 
+def _stack_u(B, n, seed):
+    return np.array([_draw_u(n, seed + b, (seed + b) % 2 * 3, 1.3) for b in range(B)])
+
+
+def test_stacks_of_one_call_are_one_handoff(two_threads, monkeypatch):
+    # below _PARALLEL_ROWS a call cut into _SHARED_STACKS or more stacks
+    # hands them to the pool's thread once; a call of fewer stacks, a traced
+    # call and a one-CPU call hand off nothing, and from _PARALLEL_ROWS rows
+    # on each one-row table hands off its row blocks alone
+    handoffs = []
+    share = kernel._share
+
+    def spy(items, work, scratch):
+        handoffs.append(items)
+        share(items, work, scratch)
+
+    monkeypatch.setattr(kernel, "_share", spy)
+
+    def seen(U, K):
+        del handoffs[:]
+        want = [(seminorm_p(u, K), apply_flap(u, K).tobytes()) for u in U]
+        del handoffs[:]
+        got = list(zip(seminorm_p(U, K).tolist(), apply_flap(U, K)))
+        assert [(s, f.tobytes()) for s, f in got] == want
+        return handoffs[:]
+
+    K96, K192 = _kernel(96, 2.5), _kernel(192, 2.5)
+    rows = kernel._stack_rows(96)
+    least = kernel._SHARED_STACKS
+    assert seen(_stack_u(20, 192, 1), K192) == [range(0, 20)] * 2
+    assert seen(_stack_u(least, 192, 2), K192) == [range(0, least)] * 2
+    assert seen(_stack_u(least - 1, 192, 3), K192) == []
+    B = (least - 1) * rows + 1
+    assert seen(_stack_u(B, 96, 4), K96) == [range(0, B, rows)] * 2
+    assert seen(_stack_u(B - 1, 96, 5), K96) == []
+    n = _PARALLEL_ROWS
+    blocks = range(0, n, _PAIR_BLOCK)
+    assert seen(_stack_u(least, n, 6), _kernel(n, 2.5)) == [blocks] * 2 * least
+    tracemalloc.start()
+    try:
+        assert seen(_stack_u(20, 192, 8), K192) == []
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(kernel, "_CPUS", 1)
+    assert seen(_stack_u(20, 192, 8), K192) == []
+
+
 def test_concurrent_callers_get_the_serial_bytes(two_threads):
-    # more calling threads than cores share the one pool thread
-    n = _PARALLEL_ROWS + 1
-    kernels = [_kernel(n, p) for p in (1.5, 2.0, 2.5)]
-    inputs = [_draw_u(n, seed, seed % 2 * 3, 1.3) for seed in range(4)]
-    want = [[(_full_seminorm(u, K), _full_flap(u, K).tobytes()) for K in kernels]
-            for u in inputs]
-    got = [None] * len(inputs)
-    start = threading.Barrier(len(inputs))
+    # more calling threads than cores share the one pool thread: one-point
+    # calls whose blocks are shared, and 20-row stacks at n = 192 whose
+    # stacks are shared; every row is the bytes of its one-point call
+    cases = []
+    for n, B in ((_PARALLEL_ROWS + 1, 1), (192, 20)):
+        kernels = [_kernel(n, p) for p in (1.5, 2.0, 2.5)]
+        cases += [(kernels, _stack_u(B, n, 10 * seed)) for seed in range(4)]
+    want = [[(np.array([_full_seminorm(u, K) for u in U]).tobytes(),
+              np.array([_full_flap(u, K) for u in U]).tobytes()) for K in kernels]
+            for kernels, U in cases]
+    got = [None] * len(cases)
+    start = threading.Barrier(len(cases))
 
     def run(i):
+        kernels, U = cases[i]
+        U = U[0] if len(U) == 1 else U
         start.wait(timeout=30)
-        got[i] = [(seminorm_p(inputs[i], K), apply_flap(inputs[i], K).tobytes())
-                  for K in kernels]
+        got[i] = [(np.array(seminorm_p(U, K), ndmin=1).tobytes(),
+                   np.array(apply_flap(U, K), ndmin=2).tobytes()) for K in kernels]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
         for t in threads:
             t.start()
         for t in threads:
@@ -489,10 +543,7 @@ def test_concurrent_callers_get_the_serial_bytes(two_threads):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for g, w in zip(got, want):
-        assert g is not None
-        for (s_got, f_got), (s_want, f_want) in zip(g, w):
-            assert np.float64(s_got).tobytes() == np.float64(s_want).tobytes()
-            assert f_got == f_want
+        assert g == w
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -560,7 +611,7 @@ def test_no_table_outlives_its_call(two_threads):
             for r0 in starts:
                 table[r0] = 1.0
 
-        kernel._run_blocks(_PARALLEL_ROWS, work, [None, None])
+        kernel._share(range(0, _PARALLEL_ROWS, _PAIR_BLOCK), work, [None, None])
         assert table[::_PAIR_BLOCK].all()
         del work, table
         assert gone() is None

@@ -7,10 +7,13 @@ projected forces and the re-parameterization work on the whole path at
 once; each must give the bytes of its vertex-by-vertex loop, kept here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from fracmp import energy
+from fracmp import (assemble_kernel, build_grid, energy, kernel, make_nonlinearity,
+                    make_potential, make_problem)
 from fracmp._descent import vector_norm
 from fracmp.solve import _path_forces, _refined_path, _reparametrize
 
@@ -18,8 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-def _random_path(seed, P, scale=1.0, zero_ends=False):
-    path = scale * np.random.default_rng(seed).standard_normal((P + 1, 96))
+def _random_path(seed, P, scale=1.0, zero_ends=False, n=96):
+    path = scale * np.random.default_rng(seed).standard_normal((P + 1, n))
     if zero_ends:
         path[[0, P]] = 0.0
     return path
@@ -72,6 +75,42 @@ def test_bounded_scan_stops_at_first_failure(prob96, seed, P, scale, zero_ends, 
     assert made == max(stop - 2, 0)
     if ok:
         assert Jf.tobytes() == full.tobytes()
+
+
+@pytest.fixture(scope="module")
+def prob192():
+    # the solve benchmark's instance: one row per stacked pair table
+    grid = build_grid(0.0, 1.0, 192)
+    return make_problem(grid, assemble_kernel(grid, 0.3, 2.5),
+                        make_potential(grid, constant=0.25), 0.5,
+                        make_nonlinearity(3.0, 1.0, 2.5, 0.3))
+
+
+@pytest.mark.parametrize("fail_at", [None, 1, 2, 21], ids=["accepted", "first", "second",
+                                                          "middle"])
+@pytest.mark.parametrize("n", [96, 192])
+def test_scan_is_the_same_on_one_cpu_and_two(monkeypatch, prob96, prob192, n, fail_at):
+    # two CPUs take larger stacks and compute rows past the first failure;
+    # the samples, the energies and the evaluations counted do not change
+    prob = prob96 if n == 96 else prob192
+    P = 21
+    path = np.abs(_random_path(n, P, n=n))
+    ends = (energy(path[0], prob), energy(path[P], prob))
+
+    def scan(cpus):
+        monkeypatch.setattr(kernel, "_CPUS", cpus)
+        seen = itertools.count(-1)  # the two ends are tested first
+
+        def accept(v):
+            return next(seen) != fail_at
+
+        fine, Jf, made = _refined_path(path, prob, ends, accept, P // 2)
+        return fine.tobytes(), None if Jf is None else Jf.tobytes(), made
+
+    one = scan(1)
+    assert one == scan(2)
+    assert (one[1] is None) == (fail_at is not None)
+    assert one[2] == (2 * P - 1 if fail_at is None else fail_at)
 
 
 def _loop_forces(path, G, k_int):

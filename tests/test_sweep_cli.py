@@ -600,6 +600,21 @@ def test_sweep_record_in_window_below_both_thresholds(tmp_path, monkeypatch, hat
     assert not rec.ok and rec.in_window is inside
 
 
+@pytest.mark.parametrize("cpus, share", [(1, 1), (2, 1), (3, 1), (8, 2)])
+def test_sweep_row_workers_get_their_share_of_the_cpus(tmp_path, monkeypatch, cpus, share):
+    # the row processes fill the CPUs, so a row's kernel counts on its share
+    # of them: one for as many rows as CPUs, and it then shares no stacks.
+    # The spy's error text carries the count back from the worker
+    def spy(*args):
+        raise SolverError("cpus %d" % sweep_module.kernel._CPUS)
+
+    monkeypatch.setattr(sweep_module.kernel, "_CPUS", cpus)
+    monkeypatch.setattr(sweep_module, "solve_lambda", spy)
+    records = sweep(parse_config(_write(tmp_path, SMALL_SWEEP))).records
+    assert [r.error for r in records] == ["SolverError: cpus %d" % share] * 4
+    assert sweep_module.kernel._CPUS == cpus
+
+
 @pytest.mark.parametrize("cpus, n, workers", [(1, 32, 0), (2, 32, 2), (8, 32, 4),
                                               (2, 511, 2), (2, 512, 0)])
 def test_row_workers(monkeypatch, cpus, n, workers):

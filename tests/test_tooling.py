@@ -3,7 +3,7 @@
 A traced name that no longer exists would make the traced benchmark run
 fail when it installs its wrappers, so every name is checked here.  The
 table is read from the tracer's source, without importing the tracer.
-tools/kernel_timing.py prints each of its tables once at a tiny size, and
+tools/kernel_timing.py prints each of its five tables once at a tiny size, and
 tools/phase_timing.py its phase table at n = 16, with no timing gate, and
 tools/output_digest.py digests every output of the shipped configs at n = 16,
 and tools/mp_scan.py prints one outcome line for each of two instances.
@@ -55,6 +55,12 @@ def test_kernel_timing_tables_run(monkeypatch, capsys):
     tool.layer_table([8], (1, 2), 1)
     tool.kernel_table([8, 130], 1)
     rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+    tool.shared_table([8], 1)
+    # a shared-stack row: p, n, then the 20-point gradient and the Hessian
+    # product, each with its stacks shared and on one thread
+    shared = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:]]
+    assert [r[:2] for r in shared] == [["2", "8"], ["2.5", "8"]]
+    assert all(len(r) == 2 + 2 * 3 and float(r[-1]) > 0.0 for r in shared)
     timed = [r for r in rows if r and r[0] in ("2", "2.5")]
     # two exponents: one pair-table row, B = 1 plus four caps, two layer
     # rows, two kernel rows
@@ -86,6 +92,9 @@ def test_phase_timing_table_runs(capsys):
     flow, negdir, newton = row[4].split()
     assert int(flow) > 0 and newton == "no"
     assert 1 <= int(negdir) <= 1 + int(flow) // 40
+    # the path scans compute at least the rows they count
+    computed, counted = map(int, row[5].split())
+    assert computed >= counted > 0
 
 
 def test_output_digest_is_reproducible(capsys):
@@ -121,3 +130,37 @@ def test_mp_scan_prints_one_outcome_per_instance(capsys):
         assert re.fullmatch(r"ok [0-9a-f]{64} \S+,\S+|[A-Za-z]+Error: .+", result)
     # the same seed draws the same instances
     assert tool.instances(0, 2) == tool.instances(0, 2)
+
+
+def _ab_record(wall, rss, failed=0, drift=None):
+    return {"metrics": {"wall_s": wall, "peak_rss_mb": rss}, "attempted": 6,
+            "failed": failed, "worst_drift": drift}
+
+
+def test_ab_bench_summary_of_canned_runs():
+    # no benchmark runs: ten canned pairs.  wall_s: B lower in 9 of 10 and
+    # by more than A's interquartile range.  peak_rss_mb: B 10% higher in
+    # every pair, past its 5% bound
+    tool = _tool("ab_bench")
+    walls_a = [1.40, 1.45, 1.38, 1.50, 1.42, 1.47, 1.39, 1.44, 1.41, 1.46]
+    walls_b = [1.05, 1.10, 1.02, 1.12, 1.50, 1.08, 1.04, 1.07, 1.06, 1.09]
+    pairs = [({"w": _ab_record(wa, 40.0, drift=0.0 if i == 0 else None)},
+              {"w": _ab_record(wb, 44.0, failed=int(i == 3), drift=0.0 if i == 0 else None)})
+             for i, (wa, wb) in enumerate(zip(walls_a, walls_b))]
+    metrics = [{"name": "wall_s", "bound": 0.25, "better": "lower"},
+               {"name": "peak_rss_mb", "bound": 0.05, "better": "lower"}]
+    lines = tool.summary(pairs, metrics)
+    assert lines[0] == "w (10 pairs)"
+    wall, rss = lines[2].split(), lines[3].split()
+    assert wall[0] == "wall_s" and wall[-1] == "gain" and "9/10" in wall
+    assert rss[0] == "peak_rss_mb" and rss[-1] == "WORSE" and "0/10" in rss
+    assert rss[-2] == "+10.0%"
+    assert lines[4:] == ["  A: 0 of 60 ops failed, worst drift 0",
+                         "  B: 1 of 60 ops failed, worst drift 0"]
+    # a spread wider than the bound with overlapping runs is unresolved;
+    # every B run better than every A run is not
+    assert tool.verdict([1.0, 2.0, 3.0, 4.0], [2.5, 2.0, 3.0, 3.5], 0.25, True)[3] == \
+        "unresolved"
+    assert tool.verdict([3.0, 4.0, 5.0, 6.0], [2.9, 2.8, 2.7, 2.6], 0.25, True)[3] == "gain"
+    assert tool.verdict([1.0, 1.01, 0.99, 1.0], [1.02, 1.0, 1.01, 0.99], 0.25, True)[3] == \
+        "level"

@@ -28,6 +28,17 @@ The fourth table prints, for p = 2 and p = 2.5 and each n, the bytes of
 array data the assembled Kernel holds (its weight-table row blocks and its
 tail) and the median time in microseconds of assemble_kernel.
 
+The fifth table prints, for p = 2 and p = 2.5 and n = 96 and 192, the
+median time in microseconds per call of model.gradient on 20 points (the
+mountain pass's P - 1 vertex gradients) and of solve._hessian_product at
+one point in one direction (one gradient call on 2 points), with the
+stacks of a call shared with the kernel's second thread ("2 thr") and on
+the calling thread alone ("1 thr"), whatever kernel._SHARED_STACKS says.
+In the "2 thr" column every call of two or more stacks (kernel._by_stack)
+shares them; at n = 96 the 2 points are one stack, and both columns time
+one thread.  This is how the threshold _SHARED_STACKS is chosen and
+checked.  On a host with one usable CPU both columns time one thread.
+
 Each median is over R rounds that alternate the paths compared; a round
 times a loop long enough to take about 20 ms.  The tool has no pass/fail
 gate: wall-clock times on a shared host vary too much for one.
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -50,6 +62,8 @@ SIZES = (96, 192, 384, 512, 1024, 1536)
 STACK_SIZES = (96, 192, 384)
 LAYER_SIZES = (96, 192)
 LAYER_POINTS = (1, 2, 7)
+# the mountain pass's vertex gradients at P = 21 path segments
+VERTEX_POINTS = 20
 EXPONENTS = (2.0, 2.5)
 CAPS = tuple(1 << k for k in range(15, 19))
 # seconds one timed loop takes
@@ -81,6 +95,20 @@ def _time_pair(fn, n, repeats):
                 times[threaded] += _per_call_us(fn, 1)
     finally:
         kernel._PARALLEL_ROWS = saved
+    return statistics.median(times[True]), statistics.median(times[False])
+
+
+def _time_shared(fn, repeats):
+    """Median us of fn with its stacks shared with the second thread and not."""
+    times = {True: [], False: []}
+    saved = kernel._SHARED_STACKS
+    try:
+        for r in range(repeats):
+            for shared in ((True, False) if r % 2 == 0 else (False, True)):
+                kernel._SHARED_STACKS = 2 if shared else sys.maxsize
+                times[shared] += _per_call_us(fn, 1)
+    finally:
+        kernel._SHARED_STACKS = saved
     return statistics.median(times[True]), statistics.median(times[False])
 
 
@@ -184,6 +212,22 @@ def kernel_table(sizes, repeats):
             print("%-4g %6d | %12d %12.1f" % (p, n, held, us))
 
 
+def shared_table(sizes, repeats):
+    names = ("gradient %d pts us" % VERTEX_POINTS, "H.xi us")
+    print("%-4s %6s" % ("p", "n") + "".join(" | %22s" % name for name in names))
+    print("%-4s %6s" % ("", "") + " | %10s %11s" % ("2 thr", "1 thr") * len(names))
+    for p in EXPONENTS:
+        for n in sizes:
+            prob = _problem(n, p)
+            rng = np.random.default_rng(n)
+            U = np.abs(rng.standard_normal((VERTEX_POINTS, n)))
+            xi = rng.standard_normal(n)
+            times = [_time_shared(fn, repeats)
+                     for fn in (lambda: gradient(U, prob),
+                                lambda: _hessian_product(U[0], xi, prob, 1e-5))]
+            print("%-4g %6d" % (p, n) + "".join(" | %10.1f %11.1f" % t for t in times))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
@@ -196,6 +240,8 @@ def main(argv=None) -> int:
     layer_table(LAYER_SIZES, LAYER_POINTS, args.repeats)
     print()
     kernel_table([int(x) for x in args.sizes.split(",")], args.repeats)
+    print()
+    shared_table(LAYER_SIZES, args.repeats)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Wall time per phase of one solve of configs/solve.cfg at growing n.
 
-usage: PYTHONPATH=src python tools/phase_timing.py [--sizes N,N,...]
+usage: PYTHONPATH=src python tools/phase_timing.py [--sizes N,N,...] [--config PATH]
 
 For each n (default 96, 192, 384) the tool runs the pipeline of
-`fracmp solve` on configs/solve.cfg with n replaced, and prints the wall
+`fracmp solve` on configs/solve.cfg, or the single-lambda config given,
+with n replaced, and prints the wall
 time in seconds of its phases: assemble and certify (grid, kernel, first
 eigenpair, certified constants), the mountain pass with, as a part of it,
 its saddle polish, and the second-solution search.  It also prints the two
@@ -14,7 +15,11 @@ mountain-pass point, none at a local minimum).  Last come the polish's
 flow steps, its calls of solve._negative_direction (each runs its 40
 iterations, two finite-difference Hessian products each, so a call is
 80 products), and whether its Newton fallback fired (the INFO record
-fracmp.solve logs when it does).
+fracmp.solve logs when it does).  The last two columns are the rows the
+mountain pass's path scans computed (solve._refined_path: every row of
+every energy call it made) and the rows they counted (the evaluations
+made); the difference is the rows computed after a scan's first failed
+sample and discarded.
 
 Each phase is timed once.  The tool has no pass/fail gate: wall-clock
 times on a shared host vary too much for one.
@@ -47,14 +52,31 @@ def _lowest(u, prob) -> str:
     return ", ".join("%.4g" % x for x in eig[:2])
 
 
-def phases(n: int) -> dict:
-    """Phase times and Hessian eigenvalues of one solve at grid size n."""
-    cfg = _check(replace(parse_config(CONFIG), n=n))
+def phases(n: int, config: str = CONFIG) -> dict:
+    """Phase times and Hessian eigenvalues of one solve of config at grid size n."""
+    cfg = _check(replace(parse_config(config), n=n))
     polish = []
     flow = []
     turns = []
     real = solve._polish_saddle
     real_turn = solve._negative_direction
+    real_scan = solve._refined_path
+    real_energy = solve.energy
+    computed = []
+    counted = []
+
+    def scan_energy(u, prob):
+        computed.append(len(u))
+        return real_energy(u, prob)
+
+    def counted_scan(*args, **kwargs):
+        solve.energy = scan_energy
+        try:
+            fine, Jf, made = real_scan(*args, **kwargs)
+        finally:
+            solve.energy = real_energy
+        counted.append(made)
+        return fine, Jf, made
 
     def timed_polish(*args, **kwargs):
         t0 = time.perf_counter()
@@ -80,6 +102,7 @@ def phases(n: int) -> dict:
     t1 = time.perf_counter()
     solve._polish_saddle = timed_polish
     solve._negative_direction = counted_turn
+    solve._refined_path = counted_scan
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
@@ -87,6 +110,7 @@ def phases(n: int) -> dict:
     finally:
         solve._polish_saddle = real
         solve._negative_direction = real_turn
+        solve._refined_path = real_scan
         log.removeHandler(handler)
         log.setLevel(level)
     t2 = time.perf_counter()
@@ -96,6 +120,7 @@ def phases(n: int) -> dict:
             "second": t3 - t2, "mp_eig": _lowest(cp.u, prob),
             "second_eig": _lowest(None if second is None else second.u, prob),
             "flow": sum(flow), "negdir": len(turns),
+            "scan_rows": sum(computed), "scan_counted": sum(counted),
             "newton": any(r.getMessage().startswith("saddle polish used the Newton fallback")
                           for r in notes)}
 
@@ -103,15 +128,17 @@ def phases(n: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
+    parser.add_argument("--config", default=CONFIG)
     args = parser.parse_args(argv)
-    print("%6s | %9s %9s %9s %9s | %-20s | %-20s | %6s %6s %6s" % (
+    print("%6s | %9s %9s %9s %9s | %-20s | %-20s | %6s %6s %6s | %9s %9s" % (
         "n", "certify s", "MP s", "polish s", "second s", "MP eig(H/h)", "second eig(H/h)",
-        "flow", "negdir", "Newton"))
+        "flow", "negdir", "Newton", "scan rows", "counted"))
     for n in (int(x) for x in args.sizes.split(",")):
-        r = phases(n)
-        print("%6d | %9.3f %9.3f %9.3f %9.3f | %-20s | %-20s | %6d %6d %6s" % (
+        r = phases(n, args.config)
+        print("%6d | %9.3f %9.3f %9.3f %9.3f | %-20s | %-20s | %6d %6d %6s | %9d %9d" % (
             n, r["certify"], r["mp"], r["polish"], r["second"], r["mp_eig"],
-            r["second_eig"], r["flow"], r["negdir"], "yes" if r["newton"] else "no"))
+            r["second_eig"], r["flow"], r["negdir"], "yes" if r["newton"] else "no",
+            r["scan_rows"], r["scan_counted"]))
     return 0
 
 
