@@ -64,10 +64,11 @@ table and sums are built whole on one thread by the one-thread code, and
 the results are joined in row order, so every row is again the bytes of
 the one-point call; a stack never nests a block hand-off.  The mountain
 pass's 20 vertex gradients at n = 192 ran 1.1-1.4x as fast so, and its
-path scan hands over 8 stacks a call (solve._refined_path).  The second
-thread's block scratch comes from the caller, so a shared table allocates
-no array data on it, and it runs in the caller's context, so the caller's
-np.errstate holds there.
+path scan hands over _BATCH_STACKS = 8 stacks a call (_batch_rows).  The
+second thread's block scratch comes from the caller, so a shared table
+allocates no array data on it, and it runs in the caller's context, so
+the caller's np.errstate holds there.  While tracemalloc is tracing,
+every item stays on the calling thread.
 """
 from __future__ import annotations
 
@@ -103,6 +104,11 @@ _STACK_CAP = 1 << 16
 # p = 2 and 1.07-1.20x at p = 2.5 (tools/kernel_timing.py, fifth table), and
 # the n = 192 solve at p = 2 was slower with them shared.
 _SHARED_STACKS = 3
+# Stacks per call that a caller free to batch its grid functions hands over
+# where a call's stacks are shared (_batch_rows): on a 2-core Xeon the
+# n = 192, p = 2.5 solve read 1.31, 1.21, 1.10 and 1.10 s with later
+# path-scan calls of 2, 4 and 8 stacks and of the whole remainder.
+_BATCH_STACKS = 8
 # CPUs this process may run on: one keeps every table on one thread, and a
 # sweep's rows in this process (sweep._row_workers).
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -232,10 +238,10 @@ def _share(items, work, scratch: list) -> None:
     starts of one _by_stack call (below it).  The pool's thread runs beside
     the calling thread; both pop the next item from one deque when they
     finish one, so a pool thread that starts late, or is descheduled, only
-    takes fewer.  The callers keep every item on the calling thread while
-    tracemalloc is tracing: the peak it reports would otherwise depend on
-    how the two threads' transient numpy buffers overlap, and the arrays
-    allocated are the same either way.
+    takes fewer.  While tracemalloc is tracing, the calling thread takes
+    every item: the peak it reports would otherwise depend on how the two
+    threads' transient numpy buffers overlap, and the arrays allocated are
+    the same either way.
 
     The pool's part gets work (which holds the table or the stacks) through
     a list that is empty when this returns.  A work item the pool still
@@ -244,6 +250,9 @@ def _share(items, work, scratch: list) -> None:
     resident at once, and so the process's peak memory, would depend on
     when the pool's thread woke.
     """
+    if tracemalloc.is_tracing():
+        work(items, scratch[0])
+        return
     todo = deque(items)
     args = [work, _take(todo), scratch[1]]
     # run in the caller's context, so the caller's np.errstate holds there
@@ -316,7 +325,7 @@ def _weighted_table(v: np.ndarray, W_blocks: tuple, e: float, odd: bool) -> np.n
     # the odd map's sign mask, one per thread, so the second thread
     # allocates no array data
     neg = np.empty((B, min(_PAIR_BLOCK, n), n), dtype=np.int8) if signed else None
-    if _threads(n) == 1 or tracemalloc.is_tracing():
+    if _threads(n) == 1:
         build(range(0, n, _PAIR_BLOCK), neg)
     else:
         _share(range(0, n, _PAIR_BLOCK), build,
@@ -330,14 +339,23 @@ def _stack_rows(n: int) -> int:
 
 
 def _shares_stacks(n: int) -> bool:
-    """Whether the stacks of a call on n-point grid functions may go to two threads.
+    """Whether the stacks of a call on n-point grid functions go to two threads.
 
-    So they may below _PARALLEL_ROWS, where each table's blocks stay on one
-    thread, in a process that may run on more than one CPU; _by_stack then
-    shares a call that cuts into _SHARED_STACKS or more, unless tracemalloc
-    is tracing.
+    So they do below _PARALLEL_ROWS, where each table's blocks stay on one
+    thread, in a process that may run on more than one CPU, once a call
+    cuts into _SHARED_STACKS or more (_by_stack).
     """
     return _CPUS > 1 and _threads(n) == 1
+
+
+def _batch_rows(n: int) -> int:
+    """Grid functions per call for a caller free to batch them (solve._refined_path).
+
+    One stack (_stack_rows) where the stacks of a call stay on one thread,
+    and _BATCH_STACKS stacks where _by_stack shares them with the pool's
+    thread, so that both threads have stacks to take.
+    """
+    return _stack_rows(n) * (_BATCH_STACKS if _shares_stacks(n) else 1)
 
 
 def _by_stack(sums, v: np.ndarray, n: int) -> np.ndarray:
@@ -345,17 +363,17 @@ def _by_stack(sums, v: np.ndarray, n: int) -> np.ndarray:
 
     v is one grid function (n,), taken as a stack of one, or a stack
     (B, n); the results are joined along the first axis, in row order.
-    From _SHARED_STACKS stacks on, where _shares_stacks(n) and tracemalloc
-    is not tracing, the stacks go to two threads in one _share pass: each
-    stack is built and summed whole on one thread by the same code, so
-    every row is the same bytes either way.
+    From _SHARED_STACKS stacks on, where _shares_stacks(n), the stacks go
+    to two threads in one _share pass: each stack is built and summed whole
+    on one thread by the same code, so every row is the same bytes either
+    way.
     """
     rows = v.reshape(-1, n)
     step = _stack_rows(n)
     if rows.shape[0] <= step:
         return sums(rows)
     starts = range(0, rows.shape[0], step)
-    if len(starts) < _SHARED_STACKS or not _shares_stacks(n) or tracemalloc.is_tracing():
+    if len(starts) < _SHARED_STACKS or not _shares_stacks(n):
         return np.concatenate([sums(rows[b:b + step]) for b in starts])
     out = [None] * len(starts)
 

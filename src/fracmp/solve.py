@@ -27,7 +27,7 @@ from ._descent import _slack, bb_descent, vector_norm
 from .eigen import rayleigh, rayleigh_minimum
 from .errors import PotentialGateError, PreconditionError, SolverError, UsageError
 from .grid import Grid, as_grid_function
-from .kernel import Kernel, _shares_stacks, _stack_rows, norm_W
+from .kernel import Kernel, _batch_rows, norm_W
 from .model import (
     Problem,
     energy,
@@ -325,10 +325,9 @@ def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
     energies are then None.  Returns (samples, energies, evaluations made).
 
     The samples are evaluated in scan order, the start sample alone and
-    then a stack (kernel._stack_rows) a call, or 8 stacks a call where the
-    kernel shares a call's stacks with its second thread
-    (kernel._shares_stacks); the accept test runs sample by sample in that
-    order.  The rows of a call after the first failure are computed but
+    then as many a call as the kernel takes in one batch (kernel._batch_rows:
+    one stack, or several where it shares a call's stacks with its second
+    thread); the accept test runs sample by sample in that order.  The rows of a call after the first failure are computed but
     discarded, and not counted in the evaluations made, so the count does
     not depend on the CPUs.  A non-finite sample starts a call of its own,
     so it raises only when the scan reaches it.
@@ -346,7 +345,7 @@ def _refined_path(path: np.ndarray, prob: Problem, ends: tuple[float, float],
     # the first call is the start sample alone: a trial scan starts where
     # the path peaks, and most rejected trials fail right there
     step = 1
-    later = _stack_rows(path.shape[1]) * (8 if _shares_stacks(path.shape[1]) else 1)
+    later = _batch_rows(path.shape[1])
     made = 0
     while made < len(order):
         take = order[made:made + step]

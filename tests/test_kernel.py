@@ -469,9 +469,9 @@ def _stack_u(B, n, seed):
 
 def test_stacks_of_one_call_are_one_handoff(two_threads, monkeypatch):
     # below _PARALLEL_ROWS a call cut into _SHARED_STACKS or more stacks
-    # hands them to the pool's thread once; a call of fewer stacks, a traced
-    # call and a one-CPU call hand off nothing, and from _PARALLEL_ROWS rows
-    # on each one-row table hands off its row blocks alone
+    # hands them to the pool's thread once; a call of fewer stacks and a
+    # one-CPU call hand off nothing, and from _PARALLEL_ROWS rows on each
+    # one-row table hands off its row blocks alone (a traced call: below)
     handoffs = []
     share = kernel._share
 
@@ -501,11 +501,6 @@ def test_stacks_of_one_call_are_one_handoff(two_threads, monkeypatch):
     n = _PARALLEL_ROWS
     blocks = range(0, n, _PAIR_BLOCK)
     assert seen(_stack_u(least, n, 6), _kernel(n, 2.5)) == [blocks] * 2 * least
-    tracemalloc.start()
-    try:
-        assert seen(_stack_u(20, 192, 8), K192) == []
-    finally:
-        tracemalloc.stop()
     monkeypatch.setattr(kernel, "_CPUS", 1)
     assert seen(_stack_u(20, 192, 8), K192) == []
 
@@ -513,11 +508,13 @@ def test_stacks_of_one_call_are_one_handoff(two_threads, monkeypatch):
 def test_concurrent_callers_get_the_serial_bytes(two_threads):
     # more calling threads than cores share the one pool thread: one-point
     # calls whose blocks are shared, and 20-row stacks at n = 192 whose
-    # stacks are shared; every row is the bytes of its one-point call
+    # stacks are shared; levels 0 and 3 alternate over the inputs and over
+    # the rows of each stack, so repeated values (zero differences) meet
+    # the shared path too; every row is the bytes of its one-point call
     cases = []
-    for n, B in ((_PARALLEL_ROWS + 1, 1), (192, 20)):
+    for n, B, seeds in ((_PARALLEL_ROWS + 1, 1, range(4)), (192, 20, range(0, 40, 10))):
         kernels = [_kernel(n, p) for p in (1.5, 2.0, 2.5)]
-        cases += [(kernels, _stack_u(B, n, 10 * seed)) for seed in range(4)]
+        cases += [(kernels, _stack_u(B, n, seed)) for seed in seeds]
     want = [[(np.array([_full_seminorm(u, K) for u in U]).tobytes(),
               np.array([_full_flap(u, K) for u in U]).tobytes()) for K in kernels]
             for kernels, U in cases]
@@ -574,27 +571,28 @@ def test_forked_child_builds_its_own_second_thread(two_threads):
 
 def test_traced_calls_stay_on_one_thread(two_threads, monkeypatch):
     # tracemalloc's peak would depend on how the two threads' transient
-    # numpy buffers overlap: a traced call takes every block itself, and
-    # its peak repeats exactly
-    n = _PARALLEL_ROWS + 1
-    K = _kernel(n, 2.5)
-    u = _draw_u(n, 2, 0, 1.0)
-    want = (seminorm_p(u, K), apply_flap(u, K).tobytes())
-
+    # numpy buffers overlap: a traced call takes every block, or every
+    # stack, itself, and its peak repeats exactly
     def no_thread(*args, **kwargs):
         raise AssertionError("a traced call used the second thread")
 
-    monkeypatch.setattr(kernel._pool, "submit", no_thread)
-    peaks = []
-    for _ in range(3):
-        tracemalloc.start()
-        try:
-            got = (seminorm_p(u, K), apply_flap(u, K).tobytes())
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert got == want
-    assert len(set(peaks)) == 1
+    for n, B in ((_PARALLEL_ROWS + 1, 1), (192, 20)):
+        K = _kernel(n, 2.5)
+        u = _stack_u(B, n, 2)
+        u = u[0] if B == 1 else u
+        want = (np.float64(seminorm_p(u, K)).tobytes(), apply_flap(u, K).tobytes())
+        with monkeypatch.context() as m:
+            m.setattr(kernel._pool, "submit", no_thread)
+            peaks = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    got = (np.float64(seminorm_p(u, K)).tobytes(), apply_flap(u, K).tobytes())
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert got == want
+        assert len(set(peaks)) == 1
 
 
 def test_no_table_outlives_its_call(two_threads):

@@ -4,9 +4,9 @@ Oracle: the one-point call on each row.  Every row of a stacked
 seminorm_p, apply_flap, norm_W, energy and gradient must be the same bytes
 as the call on that row alone, for stacks shorter and longer than one
 stacked pair table holds (kernel._STACK_CAP), on one thread or with the
-stacks of a call shared with the kernel's second thread.  The nonlinearity's np.where
-branches, and its branch for inputs with no negative entry, are checked
-against the masked formulas they replaced.
+stacks of a call shared with the kernel's second thread.  The
+nonlinearity's np.where branches, and its branch for inputs with no
+negative entry, are checked against the masked formulas they replaced.
 """
 
 import functools
@@ -90,25 +90,21 @@ def test_stacked_rows_are_one_point_bytes():
     check()
 
 
-def test_stacks_past_the_cap():
-    # without hypothesis: one table, then several, at the real cap
-    for n in (96, _PAIR_BLOCK + 1):
-        rows = kernel._stack_rows(n)
-        for p in _EXPONENTS:
-            for B in (1, rows, rows + 1):
+def test_stacks_past_the_cap(monkeypatch):
+    # without hypothesis: one table, then several, at the real cap, on one
+    # CPU and on two (also on a one-CPU host), where the stacks of a call go
+    # to two threads: the mountain pass's 20 vertex gradients at n = 192
+    # and a 30-row call at n = 96 (five stacks) among them
+    cases = [(n, B) for n in (96, _PAIR_BLOCK + 1)
+             for B in (1, kernel._stack_rows(n), kernel._stack_rows(n) + 1)]
+    cases += [(192, 20), (96, 30)]
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernel, "_CPUS", cpus)
+        assert kernel._shares_stacks(192) == (cpus == 2)
+        for n, B in cases:
+            for p in _EXPONENTS:
                 _rows_match(_stack(B, n, B, 3), _problem(n, p))
-
-
-def test_shared_stacks_are_one_point_bytes(monkeypatch):
-    # two CPUs, also on a one-CPU host: the stacks of each call go to two
-    # threads, the mountain pass's 20 vertex gradients at n = 192 and a
-    # 30-row call at n = 96 (five stacks)
-    monkeypatch.setattr(kernel, "_CPUS", 2)
-    for n, B in ((192, 20), (96, 30)):
-        stacks = len(range(0, B, kernel._stack_rows(n)))
-        assert kernel._shares_stacks(n) and stacks >= kernel._SHARED_STACKS
-        for p in _EXPONENTS:
-            _rows_match(_stack(B, n, B + n, 3 * (p == 2.0)), _problem(n, p))
+    assert len(range(0, 30, kernel._stack_rows(96))) >= kernel._SHARED_STACKS
 
 
 def test_one_point_keeps_its_types():

@@ -139,8 +139,9 @@ def _ab_record(wall, rss, failed=0, drift=None):
 
 def test_ab_bench_summary_of_canned_runs():
     # no benchmark runs: ten canned pairs.  wall_s: B lower in 9 of 10 and
-    # by more than A's interquartile range.  peak_rss_mb: B 10% higher in
-    # every pair, past its 5% bound
+    # by more than A's interquartile range, but B failed an op that A did
+    # not, so the gain is withheld.  peak_rss_mb: B 10% higher in every
+    # pair, past its 5% bound
     tool = _tool("ab_bench")
     walls_a = [1.40, 1.45, 1.38, 1.50, 1.42, 1.47, 1.39, 1.44, 1.41, 1.46]
     walls_b = [1.05, 1.10, 1.02, 1.12, 1.50, 1.08, 1.04, 1.07, 1.06, 1.09]
@@ -152,7 +153,11 @@ def test_ab_bench_summary_of_canned_runs():
     lines = tool.summary(pairs, metrics)
     assert lines[0] == "w (10 pairs)"
     wall, rss = lines[2].split(), lines[3].split()
-    assert wall[0] == "wall_s" and wall[-1] == "gain" and "9/10" in wall
+    assert wall[0] == "wall_s" and wall[-1] == "withheld" and "9/10" in wall
+    walls = [1.40, 1.45, 1.38, 1.50, 1.42], [1.05, 1.10, 1.02, 1.12, 1.08]
+    assert tool.verdict(*walls, 0.25, True, (0, 0))[3] == "gain"
+    assert tool.verdict(*walls, 0.25, True, (2, 1))[3] == "gain"
+    assert tool.verdict(*walls, 0.25, True, (1, 2))[3] == "withheld"
     assert rss[0] == "peak_rss_mb" and rss[-1] == "WORSE" and "0/10" in rss
     assert rss[-2] == "+10.0%"
     assert lines[4:] == ["  A: 0 of 60 ops failed, worst drift 0",

@@ -18,6 +18,8 @@ the spread of REV_A's runs (its interquartile range over its median)
 against the metric's bound, REV_B's median change, and a verdict:
   gain        REV_B better in at least 9 of 10 pairs, and the medians
               differ by more than REV_A's interquartile range
+  withheld    a gain, but REV_B failed more ops than REV_A on the workload,
+              so it does not count
   WORSE       REV_B's median worse than REV_A's by more than the bound
   unresolved  REV_A's spread wider than the bound, and not every REV_B
               run better than every REV_A run
@@ -46,7 +48,10 @@ def extract(rev: str, dest: str) -> None:
     tar = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
                          check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(dest, filter="data")
+        else:  # Python before 3.10.12 / 3.11.4: no extraction filters
+            archive.extractall(dest)
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -83,11 +88,13 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def verdict(a: list, b: list, bound: float, lower: bool) -> tuple[int, float, float, str]:
+def verdict(a: list, b: list, bound: float, lower: bool,
+            failed: tuple[int, int] = (0, 0)) -> tuple[int, float, float, str]:
     """(pairs where b is better, a's spread, b's median change, verdict).
 
     a and b hold the metric of each pair, in pair order; bound is the
-    relative worsening BENCHMARK.json allows; lower says lower is better.
+    relative worsening BENCHMARK.json allows; lower says lower is better;
+    failed holds the ops a's and b's runs failed.
     """
     sign = 1.0 if lower else -1.0
     wins = sum(sign * (y - x) < 0.0 for x, y in zip(a, b))
@@ -96,7 +103,7 @@ def verdict(a: list, b: list, bound: float, lower: bool) -> tuple[int, float, fl
     spread = (q3 - q1) / abs(med_a) if med_a else math.inf
     change = (med_b - med_a) / abs(med_a) if med_a else math.inf
     if wins >= math.ceil(0.9 * len(a)) and sign * (med_a - med_b) > q3 - q1:
-        word = "gain"
+        word = "gain" if failed[1] <= failed[0] else "withheld"
     elif sign * change > bound:
         word = "WORSE"
     elif spread > bound and not (max(b) < min(a) if lower else min(b) > max(a)):
@@ -114,6 +121,7 @@ def summary(pairs: list, metrics: list) -> list[str]:
     lines = []
     for workload in pairs[0][0]:
         runs = [(a[workload], b[workload]) for a, b in pairs]
+        failed = tuple(sum(r[k]["failed"] for r in runs) for k in (0, 1))
         lines.append("%s (%d pairs)" % (workload, len(runs)))
         lines.append("  %-12s %-26s %-26s %7s %7s %6s %8s  %s" % (
             "metric", "A median [q1, q3]", "B median [q1, q3]", "B bttr", "A IQR",
@@ -121,7 +129,8 @@ def summary(pairs: list, metrics: list) -> list[str]:
         for m in metrics:
             a = [ra["metrics"][m["name"]] for ra, _ in runs]
             b = [rb["metrics"][m["name"]] for _, rb in runs]
-            wins, spread, change, word = verdict(a, b, m["bound"], m["better"] == "lower")
+            wins, spread, change, word = verdict(a, b, m["bound"], m["better"] == "lower",
+                                                 failed)
             lines.append("  %-12s %-26s %-26s %7s %7.3f %6.3f %+7.1f%%  %s" % (
                 m["name"], "%.4g [%.4g, %.4g]" % _mid_first(a),
                 "%.4g [%.4g, %.4g]" % _mid_first(b), "%d/%d" % (wins, len(runs)),
@@ -129,7 +138,7 @@ def summary(pairs: list, metrics: list) -> list[str]:
         for side, k in (("A", 0), ("B", 1)):
             drifts = [r[k]["worst_drift"] for r in runs if r[k]["worst_drift"] is not None]
             lines.append("  %s: %d of %d ops failed, worst drift %s" % (
-                side, sum(r[k]["failed"] for r in runs), sum(r[k]["attempted"] for r in runs),
+                side, failed[k], sum(r[k]["attempted"] for r in runs),
                 "%.3g" % max(drifts) if drifts else "-"))
     return lines
 
